@@ -281,7 +281,7 @@ func BenchmarkFig6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, admission.Symmetric{TotalBytesPerNS: 1.6})
+		sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, admission.Spec{Policy: "symmetric", TotalBytesPerNS: 1.6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func BenchmarkFig6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := cl.Register("app", admission.BestEffort); err != nil {
+		if err := cl.Register("app", admission.BestEffort, admission.Requirement{}); err != nil {
 			b.Fatal(err)
 		}
 		_ = cl.Submit("app", &noc.Packet{Dst: noc.Coord{X: 1, Y: 1}, Bytes: 64})
@@ -316,19 +316,20 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 regenerates Fig. 7: adaptive injection rates per
 // system mode, symmetric and non-symmetric.
 func BenchmarkFig7(b *testing.B) {
-	sym := admission.Symmetric{TotalBytesPerNS: 1.6}
-	nonsym := admission.NonSymmetric{TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.4, FloorBytesPerNS: 0.01}
-	series := func(policy admission.RatePolicy, crit int) [][2]float64 {
+	sym := admission.Spec{Policy: "symmetric", TotalBytesPerNS: 1.6}
+	nonsym := admission.Spec{Policy: "non-symmetric", TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.4, FloorBytesPerNS: 0.01}
+	series := func(spec admission.Spec, crit int) [][2]float64 {
 		var out [][2]float64
-		var active []admission.AppRef
 		for m := 1; m <= 8; m++ {
-			c := admission.BestEffort
-			if m <= crit {
-				c = admission.Critical
+			critRate, beRate := spec.Rates(m, min(m, crit))
+			first, newest := beRate, beRate
+			if crit >= 1 {
+				first = critRate
 			}
-			active = append(active, admission.AppRef{Name: fmt.Sprintf("a%d", m), Crit: c})
-			rates := policy.Rates(active)
-			out = append(out, [2]float64{rates[fmt.Sprintf("a%d", 1)], rates[fmt.Sprintf("a%d", m)]})
+			if m <= crit {
+				newest = critRate
+			}
+			out = append(out, [2]float64{first, newest})
 		}
 		return out
 	}
@@ -514,13 +515,13 @@ func BenchmarkMemguard(b *testing.B) {
 // guarantees while apps join — the critical flow's throughput under
 // each policy.
 func BenchmarkAdmissionModes(b *testing.B) {
-	run := func(policy admission.RatePolicy, horizon sim.Duration) (critBytes uint64) {
+	run := func(spec admission.Spec, horizon sim.Duration) (critBytes uint64) {
 		eng := sim.NewEngine()
 		mesh, err := noc.New(eng, noc.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, policy)
+		sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -528,7 +529,7 @@ func BenchmarkAdmissionModes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := crit.Register("crit", admission.Critical); err != nil {
+		if err := crit.Register("crit", admission.Critical, admission.Requirement{}); err != nil {
 			b.Fatal(err)
 		}
 		for k := 0; k < 3000; k++ {
@@ -542,7 +543,7 @@ func BenchmarkAdmissionModes(b *testing.B) {
 				b.Fatal(err)
 			}
 			name := fmt.Sprintf("be%d", i)
-			if err := cl.Register(name, admission.BestEffort); err != nil {
+			if err := cl.Register(name, admission.BestEffort, admission.Requirement{}); err != nil {
 				b.Fatal(err)
 			}
 			eng.At(sim.Duration(i+1)*5*sim.Microsecond, func() {
@@ -555,8 +556,8 @@ func BenchmarkAdmissionModes(b *testing.B) {
 		return crit.Sent("crit")
 	}
 	printOnce("X5", func() {
-		sym := run(admission.Symmetric{TotalBytesPerNS: 1.6}, 60*sim.Microsecond)
-		non := run(admission.NonSymmetric{TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.8, FloorBytesPerNS: 0.05},
+		sym := run(admission.Spec{Policy: "symmetric", TotalBytesPerNS: 1.6}, 60*sim.Microsecond)
+		non := run(admission.Spec{Policy: "non-symmetric", TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.8, FloorBytesPerNS: 0.05},
 			60*sim.Microsecond)
 		fmt.Println("\n[X5] critical throughput over 60us while 5 best-effort apps join:")
 		fmt.Printf("  symmetric policy:     %d bytes (degrades with mode)\n", sym)
@@ -564,7 +565,7 @@ func BenchmarkAdmissionModes(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(admission.Symmetric{TotalBytesPerNS: 1.6}, 20*sim.Microsecond)
+		run(admission.Spec{Policy: "symmetric", TotalBytesPerNS: 1.6}, 20*sim.Microsecond)
 	}
 }
 
@@ -841,12 +842,12 @@ func BenchmarkAblationAdmission(b *testing.B) {
 		}
 		if managed {
 			sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 3},
-				admission.NonSymmetric{TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.8, FloorBytesPerNS: 0.05})
+				admission.Spec{Policy: "non-symmetric", TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.8, FloorBytesPerNS: 0.05})
 			if err != nil {
 				b.Fatal(err)
 			}
 			critCl, _ := sys.Client(noc.Coord{X: 0, Y: 0})
-			if err := critCl.Register("crit", admission.Critical); err != nil {
+			if err := critCl.Register("crit", admission.Critical, admission.Requirement{}); err != nil {
 				b.Fatal(err)
 			}
 			critSend(func(p *noc.Packet) error { return critCl.Submit("crit", p) })
@@ -855,7 +856,7 @@ func BenchmarkAblationAdmission(b *testing.B) {
 				// On the critical flow's row: genuine link contention.
 				cl, _ := sys.Client(noc.Coord{X: 1 + i%2, Y: 0})
 				name := fmt.Sprintf("be%d", i)
-				if err := cl.Register(name, admission.BestEffort); err != nil {
+				if err := cl.Register(name, admission.BestEffort, admission.Requirement{}); err != nil {
 					b.Fatal(err)
 				}
 				for k := 0; k < 2000; k++ {

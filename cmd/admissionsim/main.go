@@ -40,24 +40,25 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("== symmetric policy (Fig. 7: uniform degradation) ==")
-	runPolicy(admission.Symmetric{TotalBytesPerNS: *total}, *apps, 0, *usec, "", "")
+	runPolicy(admission.Spec{Policy: "symmetric", TotalBytesPerNS: *total}, *apps, 0, *usec, "", "")
 
 	fmt.Println()
 	fmt.Println("== non-symmetric policy (critical guarantees preserved) ==")
-	runPolicy(admission.NonSymmetric{
+	runPolicy(admission.Spec{
+		Policy:             "non-symmetric",
 		TotalBytesPerNS:    *total,
 		CriticalBytesPerNS: *critRate,
 		FloorBytesPerNS:    0.01,
 	}, *apps, *critN, *usec, *metricsPath, *tracePath)
 }
 
-func runPolicy(policy admission.RatePolicy, apps, critN, usec int, metricsPath, tracePath string) {
+func runPolicy(spec admission.Spec, apps, critN, usec int, metricsPath, tracePath string) {
 	eng := sim.NewEngine()
 	mesh, err := noc.New(eng, noc.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}
-	sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, policy)
+	sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -71,17 +72,15 @@ func runPolicy(policy admission.RatePolicy, apps, critN, usec int, metricsPath, 
 
 	// Print the policy's rate-vs-mode series (the Fig. 7 staircase).
 	fmt.Println("mode  rates (bytes/ns)")
-	var active []admission.AppRef
 	for m := 1; m <= apps; m++ {
-		crit := admission.BestEffort
-		if m <= critN {
-			crit = admission.Critical
-		}
-		active = append(active, admission.AppRef{Name: appName(m - 1), Crit: crit})
-		rates := policy.Rates(active)
+		critRate, beRate := spec.Rates(m, min(m, critN))
 		fmt.Printf("%4d  ", m)
 		for i := 0; i < m; i++ {
-			fmt.Printf("%s=%.3f ", appName(i), rates[appName(i)])
+			rate := beRate
+			if i < critN {
+				rate = critRate
+			}
+			fmt.Printf("%s=%.3f ", appName(i), rate)
 		}
 		fmt.Println()
 	}
@@ -99,7 +98,7 @@ func runPolicy(policy admission.RatePolicy, apps, critN, usec int, metricsPath, 
 		if i < critN {
 			crit = admission.Critical
 		}
-		if err := cl.Register(appName(i), crit); err != nil {
+		if err := cl.Register(appName(i), crit, admission.Requirement{}); err != nil {
 			fatal(err)
 		}
 		eng.At(sim.Duration(i)*sim.Duration(usec)*sim.Microsecond, func() {

@@ -17,23 +17,24 @@ import (
 
 func main() {
 	fmt.Println("== symmetric policy ==")
-	runScenario(admission.Symmetric{TotalBytesPerNS: 1.6})
+	runScenario(admission.Spec{Policy: "symmetric", TotalBytesPerNS: 1.6})
 	fmt.Println()
 	fmt.Println("== non-symmetric policy (crit guaranteed 0.8 B/ns) ==")
-	runScenario(admission.NonSymmetric{
+	runScenario(admission.Spec{
+		Policy:             "non-symmetric",
 		TotalBytesPerNS:    1.6,
 		CriticalBytesPerNS: 0.8,
 		FloorBytesPerNS:    0.05,
 	})
 }
 
-func runScenario(policy admission.RatePolicy) {
+func runScenario(spec admission.Spec) {
 	eng := sim.NewEngine()
 	mesh, err := noc.New(eng, noc.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, policy)
+	sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func runScenario(policy admission.RatePolicy) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := cl.Register(d.name, d.crit); err != nil {
+		if err := cl.Register(d.name, d.crit, admission.Requirement{}); err != nil {
 			log.Fatal(err)
 		}
 		clients[d.name] = cl

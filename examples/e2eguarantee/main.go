@@ -78,34 +78,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := admission.NewSystem(eng, mesh2, noc.Coord{X: 0, Y: 0},
-		admission.Symmetric{TotalBytesPerNS: 0.8})
+	// The platform's fixed latency component: where the composed
+	// service curve first rises above zero. The RM serves each app at
+	// its assigned rate behind it.
+	platformLat := e2e.InverseStrict(0)
+	sys, err := admission.NewSystem(eng, mesh2, noc.Coord{X: 0, Y: 0}, admission.Spec{
+		Policy: "symmetric", TotalBytesPerNS: 0.8, ServiceLatencyNS: platformLat,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The platform's fixed latency component: where the composed
-	// service curve first rises above zero.
-	platformLat := e2e.InverseStrict(0)
 	// Deadline chosen so the burst needs at least 0.15 B/ns of
 	// sustained service: the symmetric 0.8 B/ns budget then supports
 	// motion-ctrl plus four best-effort apps, and the sixth activation
 	// must be rejected.
 	deadline := platformLat + prof.Burst/0.15
-	reqs := map[string]admission.Requirement{
-		"motion-ctrl": {BurstBytes: prof.Burst, DeadlineNS: deadline},
-	}
-	sys.SetAdmissionCheck(admission.DelayBoundCheck(reqs,
-		func(_ admission.AppRef, rate float64) netcalc.Curve {
-			// The app's service at its assigned rate, behind the
-			// platform's fixed latency.
-			return netcalc.RateLatency(rate, platformLat)
-		}))
 
 	cl, err := sys.Client(noc.Coord{X: 1, Y: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cl.Register("motion-ctrl", admission.Critical); err != nil {
+	contract := admission.Requirement{BurstBytes: prof.Burst, DeadlineNS: deadline}
+	if err := cl.Register("motion-ctrl", admission.Critical, contract); err != nil {
 		log.Fatal(err)
 	}
 	_ = cl.Submit("motion-ctrl", &noc.Packet{Dst: noc.Coord{X: 3, Y: 3}, Bytes: 64})
@@ -120,7 +114,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := bcl.Register(name, admission.BestEffort); err != nil {
+		if err := bcl.Register(name, admission.BestEffort, admission.Requirement{}); err != nil {
 			log.Fatal(err)
 		}
 		_ = bcl.Submit(name, &noc.Packet{Dst: noc.Coord{X: 3, Y: 3}, Bytes: 64})

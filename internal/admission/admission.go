@@ -13,6 +13,12 @@
 // with rising mode) or non-symmetric (criticality-aware, preserving
 // guarantees for critical applications while squeezing best effort).
 //
+// The decision itself — the two-class rate assignment plus the
+// Section IV-A delay-bound test over every admitted application — is
+// one allocation-free kernel, Set. The simulated RM decides through
+// it, and so does every shard of the internal/rmserver service plane,
+// so the two planes cannot drift apart.
+//
 // All four protocol messages (actMsg, terMsg, stopMsg, confMsg) travel
 // as real packets through the internal/noc fabric, so protocol
 // overhead and mode-change latency are measured, not assumed.
@@ -20,7 +26,6 @@ package admission
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/noc"
 )
@@ -42,87 +47,13 @@ func (c Criticality) String() string {
 	return "best-effort"
 }
 
-// AppRef identifies a registered application and where it runs.
+// AppRef identifies a registered application, where it runs, and the
+// traffic contract it declared when it registered.
 type AppRef struct {
 	Name string
 	Node noc.Coord
 	Crit Criticality
-}
-
-// RatePolicy derives per-application injection rates (bytes/ns) from
-// the set of currently active applications. The returned map is keyed
-// by application name.
-type RatePolicy interface {
-	Rates(active []AppRef) map[string]float64
-	Name() string
-}
-
-// Symmetric shares the budget uniformly: every active application gets
-// TotalBytesPerNS / mode, the paper's "symmetric guarantees where
-// transmission rates decrease uniformly ... along with the increasing
-// number of senders" (Fig. 7).
-type Symmetric struct {
-	TotalBytesPerNS float64
-}
-
-// Name implements RatePolicy.
-func (Symmetric) Name() string { return "symmetric" }
-
-// Rates implements RatePolicy.
-func (p Symmetric) Rates(active []AppRef) map[string]float64 {
-	out := make(map[string]float64, len(active))
-	if len(active) == 0 {
-		return out
-	}
-	r := p.TotalBytesPerNS / float64(len(active))
-	for _, a := range active {
-		out[a.Name] = r
-	}
-	return out
-}
-
-// NonSymmetric preserves critical applications' guaranteed rate and
-// divides the remaining budget among best-effort applications — the
-// paper's mixed-criticality mode: "maintain the critical application
-// guarantees while reducing best effort traffic".
-type NonSymmetric struct {
-	TotalBytesPerNS    float64
-	CriticalBytesPerNS float64
-	// FloorBytesPerNS keeps best-effort applications from starving
-	// entirely (0 permits full starvation).
-	FloorBytesPerNS float64
-}
-
-// Name implements RatePolicy.
-func (NonSymmetric) Name() string { return "non-symmetric" }
-
-// Rates implements RatePolicy.
-func (p NonSymmetric) Rates(active []AppRef) map[string]float64 {
-	out := make(map[string]float64, len(active))
-	var crit, be int
-	for _, a := range active {
-		if a.Crit == Critical {
-			crit++
-		} else {
-			be++
-		}
-	}
-	remaining := p.TotalBytesPerNS - float64(crit)*p.CriticalBytesPerNS
-	beRate := 0.0
-	if be > 0 {
-		beRate = remaining / float64(be)
-	}
-	if beRate < p.FloorBytesPerNS {
-		beRate = p.FloorBytesPerNS
-	}
-	for _, a := range active {
-		if a.Crit == Critical {
-			out[a.Name] = p.CriticalBytesPerNS
-		} else {
-			out[a.Name] = beRate
-		}
-	}
-	return out
+	Req  Requirement
 }
 
 // MsgType enumerates the protocol messages.
@@ -173,9 +104,4 @@ func (s Stats) MeanModeChangeLatencyNS() float64 {
 		return 0
 	}
 	return s.TotalModeLat / float64(s.TotalModeLatN)
-}
-
-// sortApps orders an active set deterministically.
-func sortApps(apps []AppRef) {
-	sort.Slice(apps, func(i, j int) bool { return apps[i].Name < apps[j].Name })
 }

@@ -14,14 +14,17 @@ type admRig struct {
 	sys  *System
 }
 
-func newAdm(t *testing.T, policy RatePolicy) *admRig {
+// sym is the symmetric policy over a total budget.
+func sym(total float64) Spec { return Spec{Policy: "symmetric", TotalBytesPerNS: total} }
+
+func newAdm(t *testing.T, spec Spec) *admRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	mesh, err := noc.New(eng, noc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, policy)
+	sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +43,17 @@ func (r *admRig) client(t *testing.T, at noc.Coord) *Client {
 func TestSystemValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	mesh, _ := noc.New(eng, noc.DefaultConfig())
-	if _, err := NewSystem(eng, mesh, noc.Coord{X: 9, Y: 9}, Symmetric{1}); err == nil {
+	if _, err := NewSystem(eng, mesh, noc.Coord{X: 9, Y: 9}, sym(1)); err == nil {
 		t.Error("off-mesh RM accepted")
 	}
-	if _, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, nil); err == nil {
-		t.Error("nil policy accepted")
+	if _, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, Spec{}); err == nil {
+		t.Error("empty policy accepted")
 	}
-	sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, Symmetric{1})
+	if _, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0},
+		Spec{Policy: "non-symmetric", TotalBytesPerNS: 1}); err == nil {
+		t.Error("non-symmetric policy without a critical rate accepted")
+	}
+	sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, sym(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,59 +63,46 @@ func TestSystemValidation(t *testing.T) {
 }
 
 func TestSymmetricPolicy(t *testing.T) {
-	p := Symmetric{TotalBytesPerNS: 8}
-	apps := []AppRef{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}
+	p := sym(8)
 	for mode := 1; mode <= 4; mode++ {
-		rates := p.Rates(apps[:mode])
-		want := 8 / float64(mode)
-		for _, a := range apps[:mode] {
-			if got := rates[a.Name]; math.Abs(got-want) > 1e-12 {
-				t.Errorf("mode %d: rate[%s] = %v, want %v", mode, a.Name, got, want)
+		for crit := 0; crit <= mode; crit++ {
+			c, b := p.Rates(mode, crit)
+			want := 8 / float64(mode)
+			if math.Abs(c-want) > 1e-12 || math.Abs(b-want) > 1e-12 {
+				t.Errorf("mode %d (%d critical): rates %v/%v, want %v", mode, crit, c, b, want)
 			}
 		}
 	}
-	if len(p.Rates(nil)) != 0 {
-		t.Error("empty active set should give no rates")
-	}
-	if p.Name() != "symmetric" {
-		t.Error("policy name")
+	if c, b := p.Rates(0, 0); c != 0 || b != 0 {
+		t.Error("empty mode should give no rates")
 	}
 }
 
 func TestNonSymmetricPolicy(t *testing.T) {
-	p := NonSymmetric{TotalBytesPerNS: 8, CriticalBytesPerNS: 3, FloorBytesPerNS: 0.1}
-	apps := []AppRef{
-		{Name: "crit1", Crit: Critical},
-		{Name: "be1"},
-		{Name: "be2"},
+	p := Spec{Policy: "non-symmetric", TotalBytesPerNS: 8, CriticalBytesPerNS: 3, FloorBytesPerNS: 0.1}
+	// One critical, two best-effort: the remaining 5 splits in two.
+	c, b := p.Rates(3, 1)
+	if c != 3 {
+		t.Errorf("critical rate = %v, want 3", c)
 	}
-	rates := p.Rates(apps)
-	if rates["crit1"] != 3 {
-		t.Errorf("critical rate = %v, want 3", rates["crit1"])
-	}
-	// Remaining 5 split across 2 best-effort apps.
-	if math.Abs(rates["be1"]-2.5) > 1e-12 || math.Abs(rates["be2"]-2.5) > 1e-12 {
-		t.Errorf("best-effort rates = %v/%v, want 2.5", rates["be1"], rates["be2"])
+	if math.Abs(b-2.5) > 1e-12 {
+		t.Errorf("best-effort rate = %v, want 2.5", b)
 	}
 	// With many criticals, best effort hits the floor, critical rate
 	// is preserved.
-	many := []AppRef{
-		{Name: "c1", Crit: Critical}, {Name: "c2", Crit: Critical},
-		{Name: "c3", Crit: Critical}, {Name: "be"},
-	}
-	rates = p.Rates(many)
-	if rates["c1"] != 3 || rates["c3"] != 3 {
+	c, b = p.Rates(4, 3)
+	if c != 3 {
 		t.Error("critical guarantee lost under load")
 	}
-	if rates["be"] != 0.1 {
-		t.Errorf("best effort = %v, want floor 0.1", rates["be"])
+	if b != 0.1 {
+		t.Errorf("best effort = %v, want floor 0.1", b)
 	}
 }
 
 func TestFirstTransmissionTrappedUntilAdmission(t *testing.T) {
-	r := newAdm(t, Symmetric{TotalBytesPerNS: 8})
+	r := newAdm(t, sym(8))
 	cl := r.client(t, noc.Coord{X: 3, Y: 3})
-	if err := cl.Register("app", BestEffort); err != nil {
+	if err := cl.Register("app", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
 	pkt := &noc.Packet{Dst: noc.Coord{X: 1, Y: 1}, Bytes: 64}
@@ -148,18 +142,18 @@ func TestFirstTransmissionTrappedUntilAdmission(t *testing.T) {
 }
 
 func TestUnauthorizedAppRejected(t *testing.T) {
-	r := newAdm(t, Symmetric{TotalBytesPerNS: 8})
+	r := newAdm(t, sym(8))
 	cl := r.client(t, noc.Coord{X: 1, Y: 1})
 	if err := cl.Submit("ghost", &noc.Packet{Dst: noc.Coord{X: 0, Y: 0}, Bytes: 64}); err == nil {
 		t.Error("unauthorized app allowed to send")
 	}
-	if err := cl.Register("", BestEffort); err == nil {
+	if err := cl.Register("", BestEffort, Requirement{}); err == nil {
 		t.Error("empty name registered")
 	}
-	if err := cl.Register("a", BestEffort); err != nil {
+	if err := cl.Register("a", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Register("a", BestEffort); err == nil {
+	if err := cl.Register("a", BestEffort, Requirement{}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 	if err := cl.Terminate("a"); err == nil {
@@ -171,12 +165,12 @@ func TestUnauthorizedAppRejected(t *testing.T) {
 }
 
 func TestModeTracksActivationsAndTerminations(t *testing.T) {
-	r := newAdm(t, Symmetric{TotalBytesPerNS: 8})
+	r := newAdm(t, sym(8))
 	nodes := []noc.Coord{{X: 1, Y: 0}, {X: 2, Y: 0}, {X: 3, Y: 0}}
 	for i, n := range nodes {
 		cl := r.client(t, n)
 		name := string(rune('a' + i))
-		if err := cl.Register(name, BestEffort); err != nil {
+		if err := cl.Register(name, BestEffort, Requirement{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := cl.Submit(name, &noc.Packet{Dst: noc.Coord{X: 0, Y: 3}, Bytes: 64}); err != nil {
@@ -211,9 +205,9 @@ func TestSymmetricRatesDegradeWithMode(t *testing.T) {
 	// Fig. 7: as more applications activate, per-application injection
 	// rates drop uniformly. Measure actual throughput of app "a" while
 	// one, then four, applications are active.
-	r := newAdm(t, Symmetric{TotalBytesPerNS: 1.6}) // 1.6 B/ns total
+	r := newAdm(t, sym(1.6)) // 1.6 B/ns total
 	clA := r.client(t, noc.Coord{X: 1, Y: 1})
-	if err := clA.Register("a", BestEffort); err != nil {
+	if err := clA.Register("a", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
 	// Keep "a" saturated for the whole run (64000B exceeds what both phases can drain).
@@ -230,7 +224,7 @@ func TestSymmetricRatesDegradeWithMode(t *testing.T) {
 	for i, n := range []noc.Coord{{X: 0, Y: 2}, {X: 1, Y: 2}, {X: 2, Y: 2}} {
 		cl := r.client(t, n)
 		name := "x" + string(rune('0'+i))
-		if err := cl.Register(name, BestEffort); err != nil {
+		if err := cl.Register(name, BestEffort, Requirement{}); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < 400; k++ {
@@ -259,9 +253,9 @@ func TestNonSymmetricPreservesCriticalThroughput(t *testing.T) {
 	// The mixed-criticality property: a critical app's throughput is
 	// unaffected by best-effort activations.
 	run := func(extraBE int) uint64 {
-		r := newAdm(t, NonSymmetric{TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.8})
+		r := newAdm(t, Spec{Policy: "non-symmetric", TotalBytesPerNS: 1.6, CriticalBytesPerNS: 0.8})
 		cl := r.client(t, noc.Coord{X: 1, Y: 1})
-		if err := cl.Register("crit", Critical); err != nil {
+		if err := cl.Register("crit", Critical, Requirement{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 600; i++ {
@@ -273,7 +267,7 @@ func TestNonSymmetricPreservesCriticalThroughput(t *testing.T) {
 			n := noc.Coord{X: i % 4, Y: 3}
 			bcl := r.client(t, n)
 			name := "be" + string(rune('0'+i))
-			if err := bcl.Register(name, BestEffort); err != nil {
+			if err := bcl.Register(name, BestEffort, Requirement{}); err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < 200; k++ {
@@ -301,9 +295,9 @@ func TestStopBlocksDuringModeChange(t *testing.T) {
 	// While a reconfiguration is in flight, stopped clients inject
 	// nothing. We observe the stop flag via a probe at the instant the
 	// mode change is mid-flight.
-	r := newAdm(t, Symmetric{TotalBytesPerNS: 0.5})
+	r := newAdm(t, sym(0.5))
 	cl1 := r.client(t, noc.Coord{X: 3, Y: 3})
-	if err := cl1.Register("one", BestEffort); err != nil {
+	if err := cl1.Register("one", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl1.Submit("one", &noc.Packet{Dst: noc.Coord{X: 0, Y: 1}, Bytes: 64}); err != nil {
@@ -320,7 +314,7 @@ func TestStopBlocksDuringModeChange(t *testing.T) {
 		r.eng.At(r.eng.Now()+i*sim.NS(1), probe)
 	}
 	cl2 := r.client(t, noc.Coord{X: 2, Y: 2})
-	if err := cl2.Register("two", BestEffort); err != nil {
+	if err := cl2.Register("two", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl2.Submit("two", &noc.Packet{Dst: noc.Coord{X: 0, Y: 1}, Bytes: 64}); err != nil {
@@ -336,9 +330,9 @@ func TestStopBlocksDuringModeChange(t *testing.T) {
 }
 
 func TestDuplicateActivationRejected(t *testing.T) {
-	r := newAdm(t, Symmetric{TotalBytesPerNS: 1})
+	r := newAdm(t, sym(1))
 	cl := r.client(t, noc.Coord{X: 1, Y: 1})
-	if err := cl.Register("a", BestEffort); err != nil {
+	if err := cl.Register("a", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
 	_ = cl.Submit("a", &noc.Packet{Dst: noc.Coord{X: 0, Y: 1}, Bytes: 64})
@@ -367,12 +361,12 @@ func TestCriticalityString(t *testing.T) {
 
 func TestDeterministicAdmission(t *testing.T) {
 	run := func() (uint64, float64) {
-		r := newAdm(t, Symmetric{TotalBytesPerNS: 2})
+		r := newAdm(t, sym(2))
 		for i := 0; i < 6; i++ {
 			n := noc.Coord{X: i % 4, Y: i / 4}
 			cl := r.client(t, n)
 			name := "app" + string(rune('0'+i))
-			if err := cl.Register(name, BestEffort); err != nil {
+			if err := cl.Register(name, BestEffort, Requirement{}); err != nil {
 				t.Fatal(err)
 			}
 			at := sim.Duration(i) * sim.Microsecond

@@ -21,7 +21,7 @@ func TestQuickChurnInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, Symmetric{TotalBytesPerNS: 1.6})
+		sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, sym(1.6))
 		if err != nil {
 			return false
 		}
@@ -33,7 +33,7 @@ func TestQuickChurnInvariants(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := cl.Register(fmt.Sprintf("app%d", i), Criticality(i%2)); err != nil {
+			if err := cl.Register(fmt.Sprintf("app%d", i), Criticality(i%2), Requirement{}); err != nil {
 				return false
 			}
 			clients[i] = cl
@@ -90,16 +90,16 @@ func TestTerminateDuringReconfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, Symmetric{TotalBytesPerNS: 1})
+	sys, err := NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, sym(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ca, _ := sys.Client(noc.Coord{X: 1, Y: 1})
 	cb, _ := sys.Client(noc.Coord{X: 2, Y: 2})
-	if err := ca.Register("a", BestEffort); err != nil {
+	if err := ca.Register("a", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cb.Register("b", BestEffort); err != nil {
+	if err := cb.Register("b", BestEffort, Requirement{}); err != nil {
 		t.Fatal(err)
 	}
 	_ = ca.Submit("a", &noc.Packet{Dst: noc.Coord{X: 3, Y: 3}, Bytes: 32})

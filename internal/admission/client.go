@@ -53,16 +53,22 @@ func (c *Client) Mode() int { return c.mode }
 // confMsg.
 func (c *Client) Stopped() bool { return c.stopped }
 
-// Register declares an application running on this node. Unregistered
-// applications cannot send (non-authorized access prevention).
-func (c *Client) Register(name string, crit Criticality) error {
+// Register declares an application running on this node and its
+// traffic contract, which travels with every activation to the RM's
+// admission test; a zero Requirement declares a best-effort app.
+// Unregistered applications cannot send (non-authorized access
+// prevention).
+func (c *Client) Register(name string, crit Criticality, req Requirement) error {
 	if name == "" {
 		return fmt.Errorf("admission: empty application name")
 	}
 	if _, dup := c.apps[name]; dup {
 		return fmt.Errorf("admission: application %q already registered at %v", name, c.at)
 	}
-	c.apps[name] = &appState{ref: AppRef{Name: name, Node: c.at, Crit: crit}}
+	if err := req.Validate(); err != nil {
+		return err
+	}
+	c.apps[name] = &appState{ref: AppRef{Name: name, Node: c.at, Crit: crit, Req: req}}
 	return nil
 }
 
@@ -80,6 +86,15 @@ func (c *Client) AdmissionLatency(name string) (sim.Duration, error) {
 		return 0, fmt.Errorf("admission: %q not active", name)
 	}
 	return a.admittedAt - a.activatedAt, nil
+}
+
+// Rate returns the injection rate the client enforces for an active
+// application: the RM-assigned rate of the last confMsg.
+func (c *Client) Rate(name string) (float64, bool) {
+	if a := c.apps[name]; a != nil && a.active && a.shaper != nil {
+		return a.shaper.Rate(), true
+	}
+	return 0, false
 }
 
 // Sent returns the bytes the application has injected so far.
@@ -162,13 +177,14 @@ func (c *Client) AppRejected(name string) bool {
 	return a != nil && a.rejected
 }
 
-// onConf applies the new mode and rates, then unblocks (confMsg).
-func (c *Client) onConf(mode int, rates map[string]float64) {
+// onConf applies the admitted set's mode and rates, then unblocks
+// (confMsg).
+func (c *Client) onConf(set *Set) {
 	c.stopped = false
-	c.mode = mode
+	c.mode = set.Len()
 	now := c.sys.eng.Now()
 	for name, a := range c.apps {
-		rate, ok := rates[name]
+		rate, ok := set.Rate(name)
 		if !ok {
 			// Not in the active set (terminated or never admitted).
 			if a.requesting {

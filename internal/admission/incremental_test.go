@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/netcalc"
-	"repro/internal/noc"
 )
 
 // TestEventQueueFIFO pins FIFO order through the head-indexed queue's
@@ -70,110 +69,91 @@ func TestEventQueueAllocFlat(t *testing.T) {
 	}
 }
 
-// TestDelayBoundCheckIncremental verifies the incremental admission
-// check: when a decision re-evaluates an active set whose rates did
-// not change, the service-curve constructor must not run again, and
-// admitting one more application must only recompute the bounds of
-// applications whose assigned rate actually moved.
+// TestDelayBoundCheckIncremental verifies the bound memo: a decision
+// that re-evaluates (burst, rate) pairs it has seen does no curve
+// arithmetic, apps sharing a contract and a rate share one entry, and a
+// service-latency change flushes the memo.
 func TestDelayBoundCheckIncremental(t *testing.T) {
-	reqs := map[string]Requirement{
-		"a": {BurstBytes: 64, DeadlineNS: 1e6},
-		"b": {BurstBytes: 64, DeadlineNS: 1e6},
-		"c": {BurstBytes: 64, DeadlineNS: 1e6},
+	cache := netcalc.NewCache(0)
+	s := NewSet(Spec{Policy: "symmetric", TotalBytesPerNS: 1.2, ServiceLatencyNS: 100}, cache)
+	for _, name := range []string{"a", "b", "c"} {
+		if _, reason := s.Register(contract(name, BestEffort, 64, 1e6)); reason != "" {
+			t.Fatal(reason)
+		}
 	}
-	calls := make(map[string]int)
-	check := DelayBoundCheck(reqs, func(app AppRef, rate float64) netcalc.Curve {
-		calls[app.Name]++
-		return netcalc.RateLatency(rate, 100)
-	})
+	// Modes 1, 2, 3: rates 1.2, 0.6, 0.4, one memo entry each.
+	if len(s.bounds) != 3 {
+		t.Fatalf("memo entries = %d, want 3 (one per distinct rate)", len(s.bounds))
+	}
+	misses := cache.Stats().Misses
 
-	apps := []AppRef{
-		{Name: "a", Node: noc.Coord{X: 1, Y: 1}},
-		{Name: "b", Node: noc.Coord{X: 2, Y: 2}},
-		{Name: "c", Node: noc.Coord{X: 3, Y: 3}},
+	// Same mode again: a fresh decision must be free.
+	if reason := s.Withdraw("c"); reason != "" {
+		t.Fatal(reason)
 	}
-	rates := map[string]float64{"a": 0.4, "b": 0.4, "c": 0.4}
-	if err := check(apps, rates, apps[2]); err != nil {
-		t.Fatalf("first decision rejected: %v", err)
+	if _, reason := s.Register(contract("c", BestEffort, 64, 1e6)); reason != "" {
+		t.Fatal(reason)
 	}
-	if calls["a"] != 1 || calls["b"] != 1 || calls["c"] != 1 {
-		t.Fatalf("first decision calls = %v, want one per app", calls)
-	}
-
-	// Same active set, same rates: a fresh decision must be free.
-	if err := check(apps, rates, apps[0]); err != nil {
-		t.Fatalf("repeat decision rejected: %v", err)
-	}
-	if calls["a"] != 1 || calls["b"] != 1 || calls["c"] != 1 {
-		t.Fatalf("repeat decision recomputed: calls = %v", calls)
+	if got := cache.Stats().Misses; got != misses || len(s.bounds) != 3 {
+		t.Fatalf("repeat decision recomputed: misses %d -> %d, memo %d", misses, got, len(s.bounds))
 	}
 
-	// Only c's rate changes: a and b must not be recomputed.
-	rates2 := map[string]float64{"a": 0.4, "b": 0.4, "c": 0.3}
-	if err := check(apps, rates2, apps[2]); err != nil {
-		t.Fatalf("rate-change decision rejected: %v", err)
+	// A new burst at a known rate is one new entry.
+	if reason := s.Withdraw("c"); reason != "" {
+		t.Fatal(reason)
 	}
-	if calls["a"] != 1 || calls["b"] != 1 {
-		t.Fatalf("unaffected apps recomputed: calls = %v", calls)
+	if _, reason := s.Register(contract("c", BestEffort, 128, 1e6)); reason != "" {
+		t.Fatal(reason)
 	}
-	if calls["c"] != 2 {
-		t.Fatalf("changed app not recomputed: calls = %v", calls)
+	if len(s.bounds) != 4 {
+		t.Fatalf("memo entries = %d, want 4", len(s.bounds))
 	}
 
-	// A requirement identity change (same name, new node) invalidates.
-	apps2 := []AppRef{apps[0], apps[1], {Name: "c", Node: noc.Coord{X: 0, Y: 3}}}
-	if err := check(apps2, rates2, apps2[2]); err != nil {
-		t.Fatalf("ref-change decision rejected: %v", err)
+	// A latency change invalidates every entry; revalidation refills
+	// only the current mode's two (burst, rate) pairs.
+	if reason := s.SetSpec(Spec{Policy: "symmetric", TotalBytesPerNS: 1.2, ServiceLatencyNS: 150}); reason != "" {
+		t.Fatal(reason)
 	}
-	if calls["c"] != 3 {
-		t.Fatalf("re-registered app not recomputed: calls = %v", calls)
+	if len(s.bounds) != 2 {
+		t.Fatalf("memo entries after latency change = %d, want 2", len(s.bounds))
 	}
 }
 
 // TestDelayBoundCheckMatchesUncached pins bit-identical decisions: the
-// incremental check must agree with a from-scratch evaluation of the
-// same bound on every step of a churn sequence, including rejections.
+// memoized Set must agree with the uncached reference on every step of
+// a churn sequence that sweeps the rate across the feasibility
+// boundary in both directions, including rejections.
 func TestDelayBoundCheckMatchesUncached(t *testing.T) {
-	reqs := map[string]Requirement{
-		"a": {BurstBytes: 256, DeadlineNS: 2200},
-		"b": {BurstBytes: 512, DeadlineNS: 2400},
-		"c": {BurstBytes: 1024, DeadlineNS: 2600},
+	spec := Spec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100}
+	s, ref := testSet(spec), newRefSet(spec)
+	reqs := []AppRef{
+		contract("a", BestEffort, 256, 2200),
+		contract("b", Critical, 512, 2400),
+		contract("c", BestEffort, 1024, 2600),
+		contract("d", BestEffort, 64, 0),
 	}
-	base := func(app AppRef, rate float64) netcalc.Curve {
-		return netcalc.RateLatency(rate, 100+float64(app.Node.X)*50)
-	}
-	inc := DelayBoundCheck(reqs, base)
-	ref := func(active []AppRef, rates map[string]float64, candidate AppRef) error {
-		for _, app := range active {
-			req, has := reqs[app.Name]
-			if !has {
-				continue
+	for step := 0; step < 200; step++ {
+		app := reqs[step%len(reqs)]
+		var got, want string
+		switch step % 3 {
+		case 0, 1:
+			var gr, wr float64
+			gr, got = s.Register(app)
+			wr, want = ref.register(app)
+			if gr != wr {
+				t.Fatalf("step %d: rate %v, reference %v", step, gr, wr)
 			}
-			rate := rates[app.Name]
-			alpha := netcalc.TokenBucket(req.BurstBytes, rate)
-			d := netcalc.DelayBound(alpha, base(app, rate))
-			if d > req.DeadlineNS {
-				return fmt.Errorf("reject %s", app.Name)
-			}
+		default:
+			got, want = s.Withdraw(app.Name), ref.withdraw(app.Name)
 		}
-		return nil
-	}
-	apps := []AppRef{
-		{Name: "a", Node: noc.Coord{X: 1, Y: 1}},
-		{Name: "b", Node: noc.Coord{X: 2, Y: 2}},
-		{Name: "c", Node: noc.Coord{X: 3, Y: 3}},
-	}
-	// Sweep the shared rate across the feasibility boundary in both
-	// directions; acceptance must flip at exactly the same steps.
-	for step := 0; step < 40; step++ {
-		r := 0.2 + 0.05*float64(step%20)
-		active := apps[:1+step%3]
-		rates := map[string]float64{"a": r, "b": r, "c": r}
-		gotErr := inc(active, rates, active[len(active)-1]) != nil
-		wantErr := ref(active, rates, active[len(active)-1]) != nil
-		if gotErr != wantErr {
-			t.Fatalf("step %d (rate %.2f, %d apps): incremental reject=%v, reference reject=%v",
-				step, r, len(active), gotErr, wantErr)
+		if got != want || s.Len() != len(ref.apps) {
+			t.Fatalf("step %d: reason %q mode %d, reference %q mode %d", step, got, s.Len(), want, len(ref.apps))
+		}
+		if step%7 == 0 {
+			spec.TotalBytesPerNS = 0.2 + 0.05*float64(step%20)
+			if got, want := s.SetSpec(spec), ref.setSpec(spec); got != want {
+				t.Fatalf("step %d: mode change %q, reference %q", step, got, want)
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package admission
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/netcalc"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -48,10 +50,9 @@ func (q *eventQueue) pop() event {
 // activation and termination events ("processed in their arrival
 // order") and drives the stop/configure cycle for each mode change.
 type RM struct {
-	sys  *System
-	node noc.Coord
-
-	active  map[string]AppRef
+	sys     *System
+	node    noc.Coord
+	set     *Set
 	pending eventQueue
 
 	reconfiguring bool
@@ -61,8 +62,8 @@ type RM struct {
 	current       event
 }
 
-func newRM(sys *System, node noc.Coord) *RM {
-	return &RM{sys: sys, node: node, active: make(map[string]AppRef)}
+func newRM(sys *System, node noc.Coord, set *Set) *RM {
+	return &RM{sys: sys, node: node, set: set}
 }
 
 // Node returns the RM's mesh coordinate.
@@ -70,17 +71,10 @@ func (rm *RM) Node() noc.Coord { return rm.node }
 
 // Mode returns the current system mode: the number of active
 // applications.
-func (rm *RM) Mode() int { return len(rm.active) }
+func (rm *RM) Mode() int { return rm.set.Len() }
 
-// Active returns the active applications, deterministically ordered.
-func (rm *RM) Active() []AppRef {
-	out := make([]AppRef, 0, len(rm.active))
-	for _, a := range rm.active {
-		out = append(out, a)
-	}
-	sortApps(out)
-	return out
-}
+// Active returns the active applications, ordered by name.
+func (rm *RM) Active() []AppRef { return rm.set.Active() }
 
 // handle receives an actMsg or terMsg (invoked on control-packet
 // delivery at the RM node).
@@ -98,44 +92,29 @@ func (rm *RM) next() {
 
 	switch ev.typ {
 	case ActMsg:
-		if _, dup := rm.active[ev.app.Name]; dup {
-			rm.sys.stats.Rejected++
-			if rm.sys.tel != nil {
-				rm.sys.traceReject(ev.app.Name, rm.sys.eng.Now())
-			}
+		if _, dup := rm.set.Rate(ev.app.Name); dup {
+			rm.reject(ev.app.Name)
 			rm.next()
 			return
 		}
-		rm.active[ev.app.Name] = ev.app
 		// Analytic admission test (Section IV-A run online): evaluate
 		// the post-admission rate assignment before committing.
-		if rm.sys.check != nil {
-			rates := rm.sys.policy.Rates(rm.Active())
-			if err := rm.sys.check(rm.Active(), rates, ev.app); err != nil {
-				delete(rm.active, ev.app.Name)
-				rm.sys.stats.Rejected++
-				if rm.sys.tel != nil {
-					rm.sys.traceReject(ev.app.Name, rm.sys.eng.Now())
-				}
-				node := ev.app.Node
-				name := ev.app.Name
-				rm.sys.sendCtrl(rm.node, node, ConfMsg, func() {
-					rm.sys.client(node).onReject(name)
-				})
-				rm.next()
-				return
-			}
-		}
-	case TerMsg:
-		if _, ok := rm.active[ev.app.Name]; !ok {
-			rm.sys.stats.Rejected++
-			if rm.sys.tel != nil {
-				rm.sys.traceReject(ev.app.Name, rm.sys.eng.Now())
-			}
+		if _, reason := rm.set.Register(ev.app); reason != "" {
+			rm.reject(ev.app.Name)
+			node := ev.app.Node
+			name := ev.app.Name
+			rm.sys.sendCtrl(rm.node, node, ConfMsg, func() {
+				rm.sys.client(node).onReject(name)
+			})
 			rm.next()
 			return
 		}
-		delete(rm.active, ev.app.Name)
+	case TerMsg:
+		if reason := rm.set.Withdraw(ev.app.Name); reason != "" {
+			rm.reject(ev.app.Name)
+			rm.next()
+			return
+		}
 	default:
 		rm.next()
 		return
@@ -149,14 +128,11 @@ func (rm *RM) next() {
 	// Stop phase: block every node hosting an active application (the
 	// terminating node needs no stop; it has nothing left to block,
 	// but its client still learns the outcome via a conf).
+	// targetNodes always includes the event's own node, so at least
+	// one stop and one conf are in flight.
 	targets := rm.targetNodes()
 	rm.stopsLeft = len(targets)
-	if rm.stopsLeft == 0 {
-		rm.configure()
-		return
-	}
 	for _, node := range targets {
-		node := node
 		rm.sys.sendCtrl(rm.node, node, StopMsg, func() {
 			rm.sys.client(node).onStop()
 			rm.stopDelivered()
@@ -164,22 +140,22 @@ func (rm *RM) next() {
 	}
 }
 
+// reject accounts a refused event.
+func (rm *RM) reject(name string) {
+	rm.sys.stats.Rejected++
+	rm.sys.traceReject(name, rm.sys.eng.Now())
+}
+
 // targetNodes returns the nodes hosting active applications plus the
 // node of the event's application (which must be unblocked/informed),
 // deduplicated and ordered.
 func (rm *RM) targetNodes() []noc.Coord {
-	seen := make(map[noc.Coord]bool)
 	var out []noc.Coord
-	add := func(c noc.Coord) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
+	for _, a := range append(rm.Active(), rm.current.app) {
+		if !slices.Contains(out, a.Node) {
+			out = append(out, a.Node)
 		}
 	}
-	for _, a := range rm.Active() {
-		add(a.Node)
-	}
-	add(rm.current.app.Node)
 	return out
 }
 
@@ -190,20 +166,15 @@ func (rm *RM) stopDelivered() {
 	}
 }
 
-// configure computes the new rates and distributes confMsgs.
+// configure distributes confMsgs; each client reads the new mode and
+// its applications' rates from the admitted set, which no event can
+// change until the reconfiguration finishes.
 func (rm *RM) configure() {
-	rates := rm.sys.policy.Rates(rm.Active())
-	mode := rm.Mode()
 	targets := rm.targetNodes()
 	rm.confsLeft = len(targets)
-	if rm.confsLeft == 0 {
-		rm.finish()
-		return
-	}
 	for _, node := range targets {
-		node := node
 		rm.sys.sendCtrl(rm.node, node, ConfMsg, func() {
-			rm.sys.client(node).onConf(mode, rates)
+			rm.sys.client(node).onConf(rm.set)
 			rm.confDelivered()
 		})
 	}
@@ -244,30 +215,27 @@ type System struct {
 	eng     *sim.Engine
 	mesh    *noc.NoC
 	rm      *RM
-	policy  RatePolicy
-	check   CheckFunc
 	clients map[noc.Coord]*Client
 	stats   Stats
 	tel     *telemetryState
 }
 
 // NewSystem builds the admission overlay on an existing mesh. The RM
-// is placed at rmNode.
-func NewSystem(eng *sim.Engine, mesh *noc.NoC, rmNode noc.Coord, policy RatePolicy) (*System, error) {
+// is placed at rmNode and decides under spec.
+func NewSystem(eng *sim.Engine, mesh *noc.NoC, rmNode noc.Coord, spec Spec) (*System, error) {
 	if !mesh.InMesh(rmNode) {
 		return nil, fmt.Errorf("admission: RM node %v outside mesh", rmNode)
 	}
-	if policy == nil {
-		return nil, fmt.Errorf("admission: nil rate policy")
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	s := &System{
 		eng:     eng,
 		mesh:    mesh,
-		policy:  policy,
 		clients: make(map[noc.Coord]*Client),
 		stats:   Stats{Messages: make(map[MsgType]uint64)},
 	}
-	s.rm = newRM(s, rmNode)
+	s.rm = newRM(s, rmNode, NewSet(spec, netcalc.NewCache(0)))
 	return s, nil
 }
 

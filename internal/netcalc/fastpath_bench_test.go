@@ -10,16 +10,15 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/netcalc"
-	"repro/internal/noc"
 )
 
 // This file benchmarks the analytic-plane fast path (canonical-curve
-// interning + memoized operator cache + incremental admission bounds)
+// interning + memoized operator cache + admission.Set's bound memo)
 // against the uncached arithmetic, and emits BENCH_netcalc.json for
 // the CI smoke gate. The uncached baselines below are the same
-// computations the pre-cache code performed, kept as closures so the
-// speedup claim is measured in-tree, not guessed against git history.
-// See docs/PERFORMANCE.md.
+// computations without any memo or cache, kept in-tree so the speedup
+// claim is measured, not guessed against git history. See
+// docs/PERFORMANCE.md.
 
 // ---- operator workload ----
 
@@ -66,102 +65,114 @@ func BenchmarkConvolveCached(b *testing.B) {
 const benchChurnApps = 24
 
 // churnWorld builds the admission scenario: benchChurnApps contracted
-// applications with per-app rates that do not depend on the active set
-// (a fixed-allocation policy), each served by a staircase-composed
-// end-to-end curve. Deadlines are loose so every decision walks the
-// full active set.
-func churnWorld() (reqs map[string]admission.Requirement,
-	apps []admission.AppRef, rates map[string]float64,
-	base func(admission.AppRef, float64) netcalc.Curve) {
-	reqs = make(map[string]admission.Requirement, benchChurnApps)
-	rates = make(map[string]float64, benchChurnApps)
+// applications, a third of them critical, on a non-symmetric platform
+// whose rate-latency service sits behind a 100 ns latency. Deadlines
+// are loose so every admission walks the full active set.
+func churnWorld() (spec admission.Spec, apps []admission.AppRef) {
+	spec = admission.Spec{Policy: "non-symmetric", TotalBytesPerNS: 2.4,
+		CriticalBytesPerNS: 0.1, FloorBytesPerNS: 0.01, ServiceLatencyNS: 100}
 	for i := 0; i < benchChurnApps; i++ {
-		name := fmt.Sprintf("app%d", i)
-		reqs[name] = admission.Requirement{
-			BurstBytes: float64(int(128) << (i % 3)),
-			DeadlineNS: 1e9,
-		}
-		rates[name] = 0.05 + 0.01*float64(i%8)
 		apps = append(apps, admission.AppRef{
-			Name: name, Node: noc.Coord{X: i % 4, Y: (i / 4) % 4},
+			Name: fmt.Sprintf("app%d", i),
+			Crit: admission.Criticality(i % 3 / 2),
+			Req:  admission.Requirement{BurstBytes: float64(int(128) << (i % 3)), DeadlineNS: 1e9},
 		})
 	}
-	base = func(app admission.AppRef, rate float64) netcalc.Curve {
-		return netcalc.Convolve(
-			netcalc.TDMAService(rate*8, 20, 100, 8),
-			netcalc.RateLatency(rate, 100+50*float64(app.Node.X)),
-		)
-	}
-	return reqs, apps, rates, base
+	return spec, apps
 }
 
-// uncachedCheck is the pre-fast-path DelayBoundCheck: every decision
-// recomputes every active application's bound from scratch.
-func uncachedCheck(reqs map[string]admission.Requirement,
-	base func(admission.AppRef, float64) netcalc.Curve) admission.CheckFunc {
-	return func(active []admission.AppRef, rates map[string]float64, candidate admission.AppRef) error {
-		for _, app := range active {
-			req, has := reqs[app.Name]
-			if !has {
-				continue
-			}
-			rate := rates[app.Name]
-			if rate <= 0 {
-				return fmt.Errorf("admission: %s would receive no bandwidth", app.Name)
-			}
-			alpha := netcalc.TokenBucket(req.BurstBytes, rate)
-			d := netcalc.DelayBound(alpha, base(app, rate))
-			if math.IsInf(d, 1) || d > req.DeadlineNS {
-				return fmt.Errorf("admission: %s exceeds deadline", app.Name)
-			}
+// decider is the admission decision surface the churn drives.
+type decider interface {
+	Register(admission.AppRef) (float64, string)
+	Withdraw(string) string
+}
+
+// uncachedSet is the pre-fast-path decision: the same admitted set and
+// two-class rates as admission.Set, with every admitted application's
+// bound recomputed from scratch on every admission — no bound memo, no
+// operator cache.
+type uncachedSet struct {
+	spec admission.Spec
+	apps []admission.AppRef
+}
+
+func (u *uncachedSet) Register(app admission.AppRef) (float64, string) {
+	u.apps = append(u.apps, app)
+	crits := 0
+	for _, a := range u.apps {
+		if a.Crit == admission.Critical {
+			crits++
 		}
-		return nil
 	}
+	critRate, beRate := u.spec.Rates(len(u.apps), crits)
+	rateOf := func(a admission.AppRef) float64 {
+		if a.Crit == admission.Critical {
+			return critRate
+		}
+		return beRate
+	}
+	for _, a := range u.apps {
+		if a.Req.DeadlineNS <= 0 {
+			continue
+		}
+		rate := rateOf(a)
+		d := math.Inf(1)
+		if rate > 0 {
+			d = netcalc.DelayBound(netcalc.TokenBucket(a.Req.BurstBytes, rate),
+				netcalc.RateLatency(rate, u.spec.ServiceLatencyNS))
+		}
+		if math.IsInf(d, 1) || d > a.Req.DeadlineNS {
+			u.apps = u.apps[:len(u.apps)-1]
+			return 0, a.Name + " exceeds deadline"
+		}
+	}
+	return rateOf(app), ""
 }
 
-// churnDecisions drives b.N admission decisions: each one toggles the
-// membership of a rotating application (admit on odd visits, release
-// on even) and re-validates the post-decision active set — the RM's
-// per-activation call pattern under steady app churn.
-func churnDecisions(b *testing.B, check admission.CheckFunc,
-	apps []admission.AppRef, rates map[string]float64) {
-	active := append([]admission.AppRef(nil), apps...)
-	out := make([]admission.AppRef, 0, len(apps))
+func (u *uncachedSet) Withdraw(name string) string {
+	for i, a := range u.apps {
+		if a.Name == name {
+			u.apps = append(u.apps[:i], u.apps[i+1:]...)
+			return ""
+		}
+	}
+	return "not registered"
+}
+
+// churnDecisions drives b.N admission decisions over a full active
+// set: each one toggles the membership of a rotating application
+// (release on even rounds, re-admit on odd), the RM's terMsg/actMsg
+// pattern under steady app churn. Every admission re-validates the
+// whole post-admission set.
+func churnDecisions(b *testing.B, d decider, apps []admission.AppRef) {
+	for _, a := range apps {
+		if _, reason := d.Register(a); reason != "" {
+			b.Fatalf("warm-up admission rejected: %s", reason)
+		}
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		victim := i % len(apps)
+		victim := apps[i%len(apps)]
 		if i/len(apps)%2 == 0 {
-			// Release round: drop the victim.
-			out = out[:0]
-			for j, a := range active {
-				if j != victim%len(active) {
-					out = append(out, a)
-				}
+			if reason := d.Withdraw(victim.Name); reason != "" {
+				b.Fatalf("decision %d: %s", i, reason)
 			}
-			active, out = out, active
-		} else {
-			// Admit round: bring it back.
-			active = append(active, apps[victim])
-		}
-		if err := check(active, rates, apps[victim]); err != nil {
-			b.Fatalf("decision %d rejected: %v", i, err)
+		} else if _, reason := d.Register(victim); reason != "" {
+			b.Fatalf("decision %d rejected: %s", i, reason)
 		}
 	}
 }
 
 func BenchmarkAdmissionChurn(b *testing.B) {
-	reqs, apps, rates, base := churnWorld()
-	check := admission.DelayBoundCheck(reqs, base)
+	spec, apps := churnWorld()
 	b.ReportAllocs()
-	b.ResetTimer()
-	churnDecisions(b, check, apps, rates)
+	churnDecisions(b, admission.NewSet(spec, netcalc.NewCache(0)), apps)
 }
 
 func BenchmarkAdmissionChurnUncached(b *testing.B) {
-	reqs, apps, rates, base := churnWorld()
-	check := uncachedCheck(reqs, base)
+	spec, apps := churnWorld()
 	b.ReportAllocs()
-	b.ResetTimer()
-	churnDecisions(b, check, apps, rates)
+	churnDecisions(b, &uncachedSet{spec: spec}, apps)
 }
 
 // ---- machine-readable emission for the CI smoke job ----

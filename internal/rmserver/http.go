@@ -177,6 +177,11 @@ func (wo *wireOp) toOp(kind OpKind) (Op, error) {
 			return Op{}, fmt.Errorf("missing spec")
 		}
 	}
+	if kind == OpRegister {
+		if err := op.app().Req.Validate(); err != nil {
+			return Op{}, err
+		}
+	}
 	return op, nil
 }
 
@@ -371,6 +376,9 @@ func parseOpLine(s string) (Op, error) {
 		}
 		if op.Platform == "" || op.App == "" {
 			return Op{}, fmt.Errorf("missing platform or app")
+		}
+		if err := op.app().Req.Validate(); err != nil {
+			return Op{}, err
 		}
 		return op, nil
 	case "w":

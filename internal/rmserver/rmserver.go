@@ -2,13 +2,15 @@
 // network-facing front for a fleet of Resource Manager instances, the
 // online half of the paper's Section V architecture. Where
 // internal/admission runs the RM protocol inside the simulated NoC,
-// rmserver runs the same analytic admission decision (Network-Calculus
-// delay bounds, Section IV-A, via internal/netcalc) as a service:
-// register/withdraw/mode-change requests arrive over HTTP, platforms
-// are partitioned onto shards by consistent hashing, and each shard is
-// one single-goroutine RM loop — so every platform's decision sequence
-// is processed in arrival order, deterministically, exactly like the
-// simulated RM serializes activations and terminations.
+// rmserver runs the same analytic admission decision as a service —
+// literally the same code: each platform is an admission.Set, the
+// kernel the simulated RM decides through (Network-Calculus delay
+// bounds, Section IV-A). Register/withdraw/mode-change requests arrive
+// over HTTP, platforms are partitioned onto shards by consistent
+// hashing, and each shard is one single-goroutine RM loop — so every
+// platform's decision sequence is processed in arrival order,
+// deterministically, exactly like the simulated RM serializes
+// activations and terminations.
 //
 // The plane is built for overload, not just load:
 //
@@ -73,12 +75,19 @@ type Op struct {
 	App      string
 	Crit     admission.Criticality
 	// BurstBytes/DeadlineNS declare the app's traffic contract and QoS
-	// target (register only). DeadlineNS == 0 registers a best-effort
-	// app with no analytic requirement.
+	// target (register only). DeadlineNS <= 0 registers a best-effort
+	// app with no analytic requirement. The parsers reject contracts
+	// that fail admission.Requirement.Validate.
 	BurstBytes float64
 	DeadlineNS float64
 	// Spec is the mode-change payload (OpModeChange only).
 	Spec *PlatformSpec
+}
+
+// app is the register payload as the admission kernel sees it.
+func (op *Op) app() admission.AppRef {
+	return admission.AppRef{Name: op.App, Crit: op.Crit,
+		Req: admission.Requirement{BurstBytes: op.BurstBytes, DeadlineNS: op.DeadlineNS}}
 }
 
 // Decision is one operation's outcome.
@@ -99,46 +108,9 @@ type Decision struct {
 	Throttled bool `json:"throttled,omitempty"`
 }
 
-// PlatformSpec is a platform's policy envelope: how the total budget
-// is shared (the paper's symmetric/non-symmetric guarantee modes) and
-// the fixed latency of the platform's service path (NoC traversal +
-// DRAM worst-case delay), which the analytic bound folds in.
-type PlatformSpec struct {
-	// Policy is "symmetric" or "non-symmetric".
-	Policy string `json:"policy"`
-	// TotalBytesPerNS is the platform's injection budget.
-	TotalBytesPerNS float64 `json:"total_bytes_per_ns"`
-	// CriticalBytesPerNS is the guaranteed per-app rate for critical
-	// apps (non-symmetric policy).
-	CriticalBytesPerNS float64 `json:"critical_bytes_per_ns,omitempty"`
-	// FloorBytesPerNS keeps best-effort apps from starving entirely
-	// (non-symmetric policy).
-	FloorBytesPerNS float64 `json:"floor_bytes_per_ns,omitempty"`
-	// ServiceLatencyNS is the fixed latency of the platform's service
-	// curve (rate-latency server at the assigned rate).
-	ServiceLatencyNS float64 `json:"service_latency_ns"`
-	// MaxApps caps the platform's mode (0 = uncapped).
-	MaxApps int `json:"max_apps,omitempty"`
-}
-
-// Validate checks the spec.
-func (p PlatformSpec) Validate() error {
-	switch p.Policy {
-	case "symmetric", "non-symmetric":
-	default:
-		return fmt.Errorf("rmserver: unknown policy %q", p.Policy)
-	}
-	if p.TotalBytesPerNS <= 0 {
-		return fmt.Errorf("rmserver: platform budget must be positive")
-	}
-	if p.ServiceLatencyNS < 0 {
-		return fmt.Errorf("rmserver: negative service latency")
-	}
-	if p.Policy == "non-symmetric" && p.CriticalBytesPerNS <= 0 {
-		return fmt.Errorf("rmserver: non-symmetric policy needs a critical rate")
-	}
-	return nil
-}
+// PlatformSpec is a platform's policy envelope on the wire: the
+// admission kernel's Spec, with its JSON tags and Validate.
+type PlatformSpec = admission.Spec
 
 // Config parameterizes a Fleet.
 type Config struct {

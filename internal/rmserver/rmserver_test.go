@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/netcalc"
 	"repro/internal/telemetry"
 )
 
@@ -122,19 +121,27 @@ func TestBreakerWindowForgetsOldThrottles(t *testing.T) {
 	}
 }
 
-// ---- platform decision core ----
+// ---- platform decisions ----
 
-func testPlatform(spec PlatformSpec) *platform {
-	return newPlatform("p", spec, netcalc.NewCache(0))
+// testPlatform is a single-shard fleet whose implicitly created
+// platforms start under spec; every test op targets platform "p".
+func testPlatform(t *testing.T, spec PlatformSpec) *Fleet {
+	f := New(Config{Shards: 1, DefaultPlatform: spec}, telemetry.NewRegistry())
+	t.Cleanup(f.Drain)
+	return f
 }
 
-func regOp(app string, crit bool, burst, deadline float64) *Op {
-	op := &Op{Kind: OpRegister, Platform: "p", App: app, BurstBytes: burst, DeadlineNS: deadline}
+func do1(f *Fleet, op Op) Decision { return f.Do([]Op{op})[0] }
+
+func regOp(app string, crit bool, burst, deadline float64) Op {
+	op := Op{Kind: OpRegister, Platform: "p", App: app, BurstBytes: burst, DeadlineNS: deadline}
 	if crit {
 		op.Crit = admission.Critical
 	}
 	return op
 }
+
+func withdrawOp(app string) Op { return Op{Kind: OpWithdraw, Platform: "p", App: app} }
 
 // Symmetric policy, budget 1 B/ns, latency 100 ns: with n apps each
 // gets rate 1/n, so an app with burst 100 has bound 100 + 100n. A
@@ -142,9 +149,9 @@ func regOp(app string, crit bool, burst, deadline float64) *Op {
 // exactly the paper's mode-dependent guarantee collapsing as the mode
 // grows.
 func TestPlatformSymmetricAdmission(t *testing.T) {
-	p := testPlatform(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100})
+	f := testPlatform(t, PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100})
 	for i := 0; i < 2; i++ {
-		d := p.register(regOp(fmt.Sprintf("a%d", i), false, 100, 350))
+		d := do1(f, regOp(fmt.Sprintf("a%d", i), false, 100, 350))
 		if !d.OK {
 			t.Fatalf("app %d rejected: %s", i, d.Reason)
 		}
@@ -152,7 +159,7 @@ func TestPlatformSymmetricAdmission(t *testing.T) {
 			t.Fatalf("app %d rate = %v, want %v", i, d.RateBytesPerNS, want)
 		}
 	}
-	d := p.register(regOp("a2", false, 100, 350))
+	d := do1(f, regOp("a2", false, 100, 350))
 	if d.OK {
 		t.Fatal("third app admitted; bound 400 ns should exceed the 350 ns deadline")
 	}
@@ -160,63 +167,69 @@ func TestPlatformSymmetricAdmission(t *testing.T) {
 		t.Fatalf("rejection left mode %d, want 2 (rollback)", d.Mode)
 	}
 	// The rejection must not have disturbed the admitted set.
-	if d := p.withdraw(&Op{Kind: OpWithdraw, Platform: "p", App: "a0"}); !d.OK || d.Mode != 1 {
+	if d := do1(f, withdrawOp("a0")); !d.OK || d.Mode != 1 {
 		t.Fatalf("withdraw after rejected admit: ok=%v mode=%d", d.OK, d.Mode)
 	}
 }
 
 func TestPlatformDuplicateAndUnknown(t *testing.T) {
-	p := testPlatform(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 0})
-	if d := p.register(regOp("a", false, 1, 1e6)); !d.OK {
+	f := testPlatform(t, PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 0})
+	if d := do1(f, regOp("a", false, 1, 1e6)); !d.OK {
 		t.Fatalf("admit: %s", d.Reason)
 	}
-	if d := p.register(regOp("a", false, 1, 1e6)); d.OK || !strings.Contains(d.Reason, "duplicate") {
+	if d := do1(f, regOp("a", false, 1, 1e6)); d.OK || !strings.Contains(d.Reason, "duplicate") {
 		t.Fatalf("duplicate register: ok=%v reason=%q", d.OK, d.Reason)
 	}
-	if d := p.withdraw(&Op{App: "ghost"}); d.OK || !strings.Contains(d.Reason, "not registered") {
+	if d := do1(f, withdrawOp("ghost")); d.OK || !strings.Contains(d.Reason, "not registered") {
 		t.Fatalf("ghost withdraw: ok=%v reason=%q", d.OK, d.Reason)
+	}
+	if d := do1(f, Op{Kind: OpWithdraw, Platform: "nowhere", App: "a"}); d.OK || d.Reason != "unknown platform" {
+		t.Fatalf("withdraw on unknown platform: ok=%v reason=%q", d.OK, d.Reason)
 	}
 }
 
 func TestPlatformNonSymmetricRates(t *testing.T) {
-	p := testPlatform(PlatformSpec{
+	f := testPlatform(t, PlatformSpec{
 		Policy: "non-symmetric", TotalBytesPerNS: 1,
 		CriticalBytesPerNS: 0.4, FloorBytesPerNS: 0.05, ServiceLatencyNS: 0,
 	})
-	if d := p.register(regOp("crit", true, 1, 1e9)); !d.OK || d.RateBytesPerNS != 0.4 {
+	if d := do1(f, regOp("crit", true, 1, 1e9)); !d.OK || d.RateBytesPerNS != 0.4 {
 		t.Fatalf("critical app: ok=%v rate=%v, want 0.4", d.OK, d.RateBytesPerNS)
 	}
 	// One BE app: (1 - 0.4) / 1 = 0.6.
-	if d := p.register(regOp("be", false, 1, 1e9)); !d.OK || d.RateBytesPerNS != 0.6 {
+	if d := do1(f, regOp("be", false, 1, 1e9)); !d.OK || d.RateBytesPerNS != 0.6 {
 		t.Fatalf("best-effort app: ok=%v rate=%v, want 0.6", d.OK, d.RateBytesPerNS)
 	}
 }
 
 func TestPlatformBestEffortNoDeadlineAlwaysAdmits(t *testing.T) {
-	p := testPlatform(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100})
+	f := testPlatform(t, PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100})
 	for i := 0; i < 50; i++ {
-		if d := p.register(regOp(fmt.Sprintf("a%d", i), false, 1e9, 0)); !d.OK {
+		if d := do1(f, regOp(fmt.Sprintf("a%d", i), false, 1e9, 0)); !d.OK {
 			t.Fatalf("deadline-free app %d rejected: %s", i, d.Reason)
 		}
 	}
 }
 
 func TestPlatformModeChangeRollback(t *testing.T) {
-	p := testPlatform(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100})
-	if d := p.register(regOp("a", false, 100, 350)); !d.OK {
+	f := testPlatform(t, PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 1, ServiceLatencyNS: 100})
+	if d := do1(f, regOp("a", false, 100, 350)); !d.OK {
 		t.Fatalf("admit: %s", d.Reason)
 	}
 	// Shrinking the budget to 0.1 makes a's bound 100 + 100/0.1 =
 	// 1100 ns > 350 ns: the mode change must be refused and rolled back.
-	d := p.modeChange(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 0.1, ServiceLatencyNS: 100})
-	if d.OK {
+	change := func(spec PlatformSpec) Decision {
+		return do1(f, Op{Kind: OpModeChange, Platform: "p", Spec: &spec})
+	}
+	if d := change(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 0.1, ServiceLatencyNS: 100}); d.OK {
 		t.Fatal("mode change committed despite violating an admitted app")
 	}
-	if p.spec.TotalBytesPerNS != 1 {
-		t.Fatalf("spec not rolled back: budget %v", p.spec.TotalBytesPerNS)
+	// The 1 B/ns budget is still in force: a second app gets 1/2.
+	if d := do1(f, regOp("b", false, 1, 0)); !d.OK || d.RateBytesPerNS != 0.5 {
+		t.Fatalf("spec not rolled back: ok=%v rate=%v, want 0.5", d.OK, d.RateBytesPerNS)
 	}
 	// A compatible change commits.
-	if d := p.modeChange(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 2, ServiceLatencyNS: 100}); !d.OK {
+	if d := change(PlatformSpec{Policy: "symmetric", TotalBytesPerNS: 2, ServiceLatencyNS: 100}); !d.OK {
 		t.Fatalf("compatible mode change refused: %s", d.Reason)
 	}
 }

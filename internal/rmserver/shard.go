@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/netcalc"
 	"repro/internal/telemetry"
 	"repro/internal/wtrace"
@@ -43,8 +44,8 @@ type shard struct {
 	stop  chan struct{}
 	done  chan struct{}
 
-	platforms map[string]*platform
-	cache     *netcalc.Cache
+	platforms map[string]*admission.Set
+	cache     *netcalc.Cache // shared by this shard's platforms
 
 	decisions  *telemetry.Counter
 	batches    *telemetry.Counter
@@ -70,7 +71,7 @@ func newShard(id int, cfg Config, reg *telemetry.Registry) *shard {
 		queue:     make(chan *batchReq, cfg.QueueDepth),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-		platforms: make(map[string]*platform),
+		platforms: make(map[string]*admission.Set),
 		cache:     netcalc.NewCache(0),
 
 		decisions:  reg.Counter("rmserver_shard_decisions"),
@@ -185,47 +186,36 @@ func (s *shard) process(b *batchReq) {
 // a creation.
 func (s *shard) decide(op *Op) Decision {
 	p := s.platforms[op.Platform]
-	switch op.Kind {
-	case OpRegister:
-		if p == nil {
-			p = newPlatform(op.Platform, s.cfg.DefaultPlatform, s.cache)
-			s.platforms[op.Platform] = p
-		}
-		d := p.register(op)
-		if !d.OK {
-			s.rejects.Inc()
-		}
-		return d
-	case OpWithdraw:
-		if p == nil {
-			s.rejects.Inc()
-			return Decision{Reason: "unknown platform"}
-		}
-		return p.withdraw(op)
-	case OpModeChange:
-		if op.Spec == nil {
-			s.rejects.Inc()
-			return Decision{Mode: modeOf(p), Reason: "modechange without spec"}
-		}
-		if p == nil {
-			p = newPlatform(op.Platform, s.cfg.DefaultPlatform, s.cache)
-			s.platforms[op.Platform] = p
-		}
-		d := p.modeChange(*op.Spec)
-		if !d.OK {
-			s.rejects.Inc()
-		}
-		return d
+	if p == nil && (op.Kind == OpRegister || op.Kind == OpModeChange && op.Spec != nil) {
+		p = admission.NewSet(s.cfg.DefaultPlatform, s.cache)
+		s.platforms[op.Platform] = p
 	}
-	s.rejects.Inc()
-	return Decision{Mode: modeOf(p), Reason: "unknown operation"}
-}
-
-func modeOf(p *platform) int {
-	if p == nil {
-		return 0
+	var d Decision
+	switch {
+	case op.Kind == OpRegister:
+		d.RateBytesPerNS, d.Reason = p.Register(op.app())
+	case op.Kind == OpWithdraw && p != nil:
+		// Withdrawing an absent app is refused but not counted in
+		// rmserver_shard_rejects.
+		reason := p.Withdraw(op.App)
+		return Decision{OK: reason == "", Mode: p.Len(), Reason: reason}
+	case op.Kind == OpWithdraw:
+		d.Reason = "unknown platform"
+	case op.Kind == OpModeChange && op.Spec != nil:
+		d.Reason = p.SetSpec(*op.Spec)
+	case op.Kind == OpModeChange:
+		d.Reason = "modechange without spec"
+	default:
+		d.Reason = "unknown operation"
 	}
-	return len(p.apps)
+	if p != nil {
+		d.Mode = p.Len()
+	}
+	d.OK = d.Reason == ""
+	if !d.OK {
+		s.rejects.Inc()
+	}
+	return d
 }
 
 // drain signals the loop to finish queued work and waits for it.

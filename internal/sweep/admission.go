@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/admission"
-	"repro/internal/netcalc"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
@@ -62,23 +61,15 @@ func runAdmission(as AdmissionSpec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, admission.NonSymmetric{
+	sys, err := admission.NewSystem(eng, mesh, noc.Coord{X: 0, Y: 0}, admission.Spec{
+		Policy:             "non-symmetric",
 		TotalBytesPerNS:    as.TotalBytesPerNS,
 		CriticalBytesPerNS: as.CriticalBytesPerNS,
 		FloorBytesPerNS:    as.FloorBytesPerNS,
+		ServiceLatencyNS:   as.ServiceLatencyNS,
 	})
 	if err != nil {
 		return Result{}, err
-	}
-	if as.BurstBytes > 0 && as.DeadlineNS > 0 {
-		reqs := make(map[string]admission.Requirement, as.Apps)
-		for i := as.CritApps; i < as.Apps; i++ {
-			reqs[appName(i)] = admission.Requirement{BurstBytes: as.BurstBytes, DeadlineNS: as.DeadlineNS}
-		}
-		sys.SetAdmissionCheck(admission.DelayBoundCheck(reqs,
-			func(_ admission.AppRef, rate float64) netcalc.Curve {
-				return netcalc.RateLatency(rate, as.ServiceLatencyNS)
-			}))
 	}
 	for i := 0; i < as.Apps; i++ {
 		node := noc.Coord{X: i % 4, Y: (i / 4) % 4}
@@ -87,11 +78,14 @@ func runAdmission(as AdmissionSpec) (Result, error) {
 			return Result{}, err
 		}
 		crit := admission.BestEffort
+		var req admission.Requirement
 		if i < as.CritApps {
 			crit = admission.Critical
+		} else if as.BurstBytes > 0 && as.DeadlineNS > 0 {
+			req = admission.Requirement{BurstBytes: as.BurstBytes, DeadlineNS: as.DeadlineNS}
 		}
 		name := appName(i)
-		if err := cl.Register(name, crit); err != nil {
+		if err := cl.Register(name, crit, req); err != nil {
 			return Result{}, err
 		}
 		at := sim.Duration(i) * as.ActivationGap
