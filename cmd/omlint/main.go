@@ -5,295 +5,29 @@
 // prove the exporter emits parseable OpenMetrics, with no external
 // Prometheus tooling in the container.
 //
-// Checks: every line is a well-formed comment (# TYPE/# HELP/# UNIT),
-// the # EOF terminator, or a sample line `name{labels} value [ts]`
-// with a legal metric name and a parseable value; TYPE declarations
-// precede their samples and are not duplicated; the exposition is
-// terminated by exactly one # EOF with nothing after it.
-//
-// Sample lines may carry an OpenMetrics exemplar clause
-// (` # {labels} value [timestamp]`) after the value; the clause is
-// split off before the sample is validated.
-//
-// -strict additionally enforces exposition hygiene suitable for
-// third-party scrapers: every sample must belong to a family with a
-// TYPE and a HELP declaration (standard suffixes like _total, _sum,
-// _count, _bucket resolve to their family), label sets are parsed
-// in full — legal label names, double-quoted values, and only the
-// spec's escapes (\\, \", \n) inside them — and exemplar clauses are
-// validated: a well-formed labelset within the spec's 128-character
-// cap, a parseable value, and a parseable timestamp when present.
+// The checks are telemetry.LintOpenMetrics, over the sample tokenizer
+// obs.Scraper reads expositions with. -strict adds the hygiene checks
+// third-party scrapers rely on: HELP and TYPE for every sampled
+// family, fully parsed label sets, and well-formed exemplars.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"strconv"
-	"strings"
+
+	"repro/internal/telemetry"
 )
 
-var (
-	nameRe      = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelNameRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-	sampleRe    = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)(\s+\S+)?$`)
-)
-
-var validTypes = map[string]bool{
-	"counter": true, "gauge": true, "histogram": true, "summary": true,
-	"untyped": true, "info": true, "stateset": true, "gaugehistogram": true, "unknown": true,
-}
-
-// familySuffixes are the sample-name suffixes the spec derives from a
-// family name, tried in order when resolving a sample to its TYPE
-// declaration (counter _total/_created, summary/histogram
-// _sum/_count/_bucket, gaugehistogram _gsum/_gcount, info _info).
-var familySuffixes = []string{
-	"_total", "_created", "_bucket", "_count", "_sum", "_gcount", "_gsum", "_info",
-}
-
-// lint validates one exposition; returns the diagnostics found.
-// strict additionally demands HELP+TYPE metadata for every sampled
-// family and fully parses label sets (names, quoting, escapes).
+// lint validates one exposition and returns its diagnostics as
+// "<src>:<line>: <msg>".
 func lint(src string, r io.Reader, strict bool) []string {
 	var errs []string
-	fail := func(line int, format string, args ...any) {
-		errs = append(errs, fmt.Sprintf("%s:%d: %s", src, line, fmt.Sprintf(format, args...)))
-	}
-	types := make(map[string]string)
-	helps := make(map[string]bool)
-	reported := make(map[string]bool) // families already flagged for missing metadata
-	sawEOF := false
-	n := 0
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		n++
-		line := sc.Text()
-		if sawEOF {
-			fail(n, "content after # EOF terminator")
-			sawEOF = false // report once
-		}
-		switch {
-		case line == "# EOF":
-			sawEOF = true
-		case strings.HasPrefix(line, "# TYPE "):
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				fail(n, "malformed TYPE comment %q", line)
-				continue
-			}
-			name, typ := fields[2], fields[3]
-			if !nameRe.MatchString(name) {
-				fail(n, "illegal metric family name %q", name)
-			}
-			if !validTypes[typ] {
-				fail(n, "unknown metric type %q", typ)
-			}
-			if _, dup := types[name]; dup {
-				fail(n, "duplicate TYPE for family %q", name)
-			}
-			types[name] = typ
-		case strings.HasPrefix(line, "# HELP "):
-			if fields := strings.Fields(line); len(fields) >= 3 {
-				helps[fields[2]] = true
-			} else {
-				fail(n, "malformed HELP comment %q", line)
-			}
-		case strings.HasPrefix(line, "# UNIT "):
-			// Free-form; accepted.
-		case strings.HasPrefix(line, "#"):
-			fail(n, "unknown comment %q (want TYPE/HELP/UNIT/EOF)", line)
-		case strings.TrimSpace(line) == "":
-			fail(n, "blank line not allowed in exposition")
-		default:
-			sample, exemplar := cutExemplar(line)
-			m := sampleRe.FindStringSubmatch(sample)
-			if m == nil {
-				fail(n, "malformed sample line %q", line)
-				continue
-			}
-			if v := m[3]; !parseableValue(v) {
-				fail(n, "unparseable sample value %q", v)
-			}
-			if !strict {
-				continue
-			}
-			if exemplar != "" {
-				if err := lintExemplar(exemplar); err != nil {
-					fail(n, "sample %q exemplar: %v", m[1], err)
-				}
-			}
-			if m[2] != "" {
-				if err := lintLabels(m[2]); err != nil {
-					fail(n, "sample %q: %v", m[1], err)
-				}
-			}
-			family, ok := familyOf(m[1], types)
-			if !ok {
-				if !reported[m[1]] {
-					fail(n, "sample %q has no TYPE declaration", m[1])
-					reported[m[1]] = true
-				}
-				continue
-			}
-			if !helps[family] && !reported[family] {
-				fail(n, "family %q has no HELP declaration", family)
-				reported[family] = true
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fail(n, "read: %v", err)
-	}
-	if !sawEOF && len(errs) == 0 {
-		fail(n, "missing # EOF terminator")
+	for _, d := range telemetry.LintOpenMetrics(r, strict) {
+		errs = append(errs, src+":"+d)
 	}
 	return errs
-}
-
-// familyOf resolves a sample name to its declared family: the name
-// itself, or the name with one standard suffix stripped.
-func familyOf(name string, types map[string]string) (string, bool) {
-	if _, ok := types[name]; ok {
-		return name, true
-	}
-	for _, suf := range familySuffixes {
-		if base := strings.TrimSuffix(name, suf); base != name && base != "" {
-			if _, ok := types[base]; ok {
-				return base, true
-			}
-		}
-	}
-	return "", false
-}
-
-// lintLabels validates a brace-delimited label set: legal label
-// names, double-quoted values, and only the escapes the spec allows
-// inside them (\\, \", \n).
-func lintLabels(block string) error {
-	s := block[1 : len(block)-1] // sampleRe guarantees the braces
-	for s != "" {
-		eq := strings.Index(s, "=")
-		if eq < 0 {
-			return fmt.Errorf("label %q missing '='", s)
-		}
-		name := s[:eq]
-		if !labelNameRe.MatchString(name) {
-			return fmt.Errorf("illegal label name %q", name)
-		}
-		s = s[eq+1:]
-		if s == "" || s[0] != '"' {
-			return fmt.Errorf("label %q value is not double-quoted", name)
-		}
-		i, closed := 1, false
-		for i < len(s) {
-			switch s[i] {
-			case '\\':
-				if i+1 >= len(s) {
-					return fmt.Errorf("label %q value ends in a dangling escape", name)
-				}
-				switch s[i+1] {
-				case '\\', '"', 'n':
-					i += 2
-				default:
-					return fmt.Errorf("label %q value has illegal escape \\%c", name, s[i+1])
-				}
-			case '"':
-				closed = true
-				i++
-			default:
-				i++
-			}
-			if closed {
-				break
-			}
-		}
-		if !closed {
-			return fmt.Errorf("label %q value has no closing quote", name)
-		}
-		s = s[i:]
-		if s == "" {
-			return nil
-		}
-		if s[0] != ',' {
-			return fmt.Errorf("unexpected %q after label %q", s, name)
-		}
-		s = s[1:]
-		if s == "" {
-			return fmt.Errorf("trailing ',' in label set")
-		}
-	}
-	return nil
-}
-
-// cutExemplar splits a sample line into the sample proper and its
-// exemplar clause (the part after the ` # ` separator, labelset
-// included), empty when the line carries none. The separator is only
-// searched past the metric's own label block, so a '#' inside a label
-// value cannot be mistaken for it.
-func cutExemplar(line string) (sample, exemplar string) {
-	from := 0
-	if sp := strings.IndexByte(line, ' '); sp > 0 {
-		if br := strings.IndexByte(line, '{'); br >= 0 && br < sp {
-			if end := strings.IndexByte(line, '}'); end > br {
-				from = end
-			}
-		}
-	}
-	if i := strings.Index(line[from:], " # {"); i >= 0 {
-		i += from
-		return line[:i], line[i+3:]
-	}
-	return line, ""
-}
-
-// lintExemplar validates an exemplar clause `{labels} value
-// [timestamp]`: the labelset parses like any other (and stays within
-// the spec's 128-character cap, measured over the block's interior),
-// the value is a legal sample value, and the timestamp — when present
-// — parses as seconds.
-func lintExemplar(ex string) error {
-	end := strings.IndexByte(ex, '}')
-	if end < 0 {
-		return fmt.Errorf("labelset %q not closed", ex)
-	}
-	block := ex[:end+1]
-	if err := lintLabels(block); err != nil {
-		return err
-	}
-	if n := end - 1; n > 128 {
-		return fmt.Errorf("labelset is %d chars, spec cap 128", n)
-	}
-	fields := strings.Fields(ex[end+1:])
-	switch len(fields) {
-	case 1, 2:
-	default:
-		return fmt.Errorf("%q: want value [timestamp] after labelset", ex)
-	}
-	if !parseableValue(fields[0]) {
-		return fmt.Errorf("unparseable value %q", fields[0])
-	}
-	if len(fields) == 2 {
-		if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
-			return fmt.Errorf("unparseable timestamp %q", fields[1])
-		}
-	}
-	return nil
-}
-
-// parseableValue accepts OpenMetrics sample values: floats plus the
-// spec's special forms.
-func parseableValue(s string) bool {
-	switch s {
-	case "+Inf", "-Inf", "NaN":
-		return true
-	}
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
 }
 
 func main() {

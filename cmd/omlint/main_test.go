@@ -159,6 +159,25 @@ func TestLintStrictExemplarErrors(t *testing.T) {
 	wantError(t, lintStr(head+"x 1 # nope\n# EOF\n", false), "malformed sample line")
 	// A ' # ' inside a label value is not a separator either.
 	wantClean(t, lintStr(head+`x{note="a # b"} 1`+"\n# EOF\n", true))
+	// Nor is a '}' inside an exemplar's label value the end of its
+	// labelset.
+	wantClean(t, lintStr(head+`x{a="b"} 1 # {trace_id="}"} 2`+"\n# EOF\n", true))
+}
+
+func TestLintQuotedLabelValues(t *testing.T) {
+	// Quoted label values may hold spaces, '}' and '#': the sample's
+	// label block ends at the first '}' outside quotes.
+	head := "# HELP x x\n# TYPE x gauge\n"
+	for _, sample := range []string{
+		`x{msg="has space, and } brace"} 7`,
+		`x{a="}"} 1`,
+		`x{a="} # {"} 1 # {t="}"} 2 3`,
+	} {
+		wantClean(t, lintStr(head+sample+"\n# EOF\n", false))
+		wantClean(t, lintStr(head+sample+"\n# EOF\n", true))
+	}
+	// The spec forbids a value glued to the label block.
+	wantError(t, lintStr(head+`x{a="b"}3`+"\n# EOF\n", false), "malformed sample line")
 }
 
 func TestLintExemplarOnRegistryOutput(t *testing.T) {

@@ -59,8 +59,15 @@ func measureBigMesh(t *testing.T, partitions int, dur sim.Duration) (eventsPerSe
 // sequential — under GOMAXPROCS>=8. Emitted numbers are honest either
 // way, with gomaxprocs stamped on every point.
 func TestEmitBigMeshBench(t *testing.T) {
-	if testing.Short() && *bigMeshBenchOut == "" {
-		t.Skip("short mode without -benchout")
+	if *bigMeshBenchOut == "" {
+		// The wall-clock gates below run only under -benchout (the CI
+		// scale-smoke job). Without it, check that the timed scenario
+		// dispatches the same events sequential and partitioned.
+		_, seq := measureBigMesh(t, 0, sim.Microsecond)
+		if _, par := measureBigMesh(t, 2, sim.Microsecond); par != seq {
+			t.Fatalf("big mesh fired %d events sequential, %d at 2 partitions", seq, par)
+		}
+		return
 	}
 	const dur = 25 * sim.Microsecond
 	gomaxprocs := runtime.GOMAXPROCS(0)
@@ -98,9 +105,6 @@ func TestEmitBigMeshBench(t *testing.T) {
 		t.Logf("GOMAXPROCS=%d < 8: 3x-at-8-partitions floor not enforced on this host (CI scale-smoke enforces it where cores allow)", gomaxprocs)
 	}
 
-	if *bigMeshBenchOut == "" {
-		return
-	}
 	doc := map[string]interface{}{}
 	if data, err := os.ReadFile(*bigMeshBenchOut); err == nil {
 		if err := json.Unmarshal(data, &doc); err != nil {

@@ -1,97 +1,12 @@
 package core
 
 import (
-	"bufio"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
-
-// lintOpenMetrics replicates cmd/omlint's exposition checks (the
-// command is package main, so the test carries its own validator):
-// every line is a TYPE/HELP/UNIT comment, a sample with a legal name
-// and parseable value, or the single trailing # EOF; TYPE declarations
-// are unique.
-func lintOpenMetrics(t *testing.T, exposition string) {
-	t.Helper()
-	nameRe := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)(\s+\S+)?$`)
-	validTypes := map[string]bool{
-		"counter": true, "gauge": true, "histogram": true, "summary": true,
-		"untyped": true, "info": true, "stateset": true, "gaugehistogram": true, "unknown": true,
-	}
-	types := make(map[string]bool)
-	sawEOF := false
-	n := 0
-	sc := bufio.NewScanner(strings.NewReader(exposition))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		n++
-		line := sc.Text()
-		if sawEOF {
-			t.Fatalf("line %d: content after # EOF", n)
-		}
-		switch {
-		case line == "# EOF":
-			sawEOF = true
-		case strings.HasPrefix(line, "# TYPE "):
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				t.Fatalf("line %d: malformed TYPE comment %q", n, line)
-			}
-			name, typ := fields[2], fields[3]
-			if !nameRe.MatchString(name) {
-				t.Fatalf("line %d: illegal family name %q", n, name)
-			}
-			if !validTypes[typ] {
-				t.Fatalf("line %d: unknown type %q", n, typ)
-			}
-			if types[name] {
-				t.Fatalf("line %d: duplicate TYPE for %q", n, name)
-			}
-			types[name] = true
-		case strings.HasPrefix(line, "# HELP "), strings.HasPrefix(line, "# UNIT "):
-		case strings.HasPrefix(line, "#"):
-			t.Fatalf("line %d: unknown comment %q", n, line)
-		case strings.TrimSpace(line) == "":
-			t.Fatalf("line %d: blank line in exposition", n)
-		default:
-			m := sampleRe.FindStringSubmatch(line)
-			if m == nil {
-				t.Fatalf("line %d: malformed sample %q", n, line)
-			}
-			switch v := m[3]; v {
-			case "+Inf", "-Inf", "NaN":
-			default:
-				if _, err := strconv.ParseFloat(v, 64); err != nil {
-					t.Fatalf("line %d: unparseable value %q", n, v)
-				}
-			}
-		}
-	}
-	if !sawEOF {
-		t.Fatal("missing # EOF terminator")
-	}
-}
-
-// sampleValue extracts one sample's value from an exposition.
-func sampleValue(t *testing.T, exposition, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(exposition, "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.Fields(rest)[0], 64)
-			if err != nil {
-				t.Fatalf("sample %s: bad value %q", name, rest)
-			}
-			return v
-		}
-	}
-	t.Fatalf("sample %s not found in exposition", name)
-	return 0
-}
 
 // TestNetcalcCacheMetricsExposed checks the observability satellite:
 // with auditing live, the /metrics exposition carries the analytic
@@ -116,7 +31,15 @@ func TestNetcalcCacheMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	om := sb.String()
-	lintOpenMetrics(t, om)
+	if diags := telemetry.LintOpenMetrics(strings.NewReader(om), false); len(diags) != 0 {
+		t.Fatalf("exposition lint: %v", diags)
+	}
+	values := map[string]float64{}
+	for _, line := range strings.Split(om, "\n") {
+		if smp, err := telemetry.ParseSample(line); err == nil {
+			values[smp.Name+smp.Labels] = smp.Value
+		}
+	}
 
 	st := p.ncCache.Stats()
 	if st.Misses == 0 {
@@ -125,13 +48,13 @@ func TestNetcalcCacheMetricsExposed(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatal("co-located apps share curve compositions; expected cache hits")
 	}
-	if got := sampleValue(t, om, "netcalc_cache_hits_total"); got != float64(st.Hits) {
+	if got := values["netcalc_cache_hits_total"]; got != float64(st.Hits) {
 		t.Fatalf("netcalc_cache_hits_total = %v, cache says %d", got, st.Hits)
 	}
-	if got := sampleValue(t, om, "netcalc_cache_misses_total"); got != float64(st.Misses) {
+	if got := values["netcalc_cache_misses_total"]; got != float64(st.Misses) {
 		t.Fatalf("netcalc_cache_misses_total = %v, cache says %d", got, st.Misses)
 	}
-	if got := sampleValue(t, om, "netcalc_interned_curves_total"); got != float64(st.InternedCurves) || got == 0 {
+	if got := values["netcalc_interned_curves_total"]; got != float64(st.InternedCurves) || got == 0 {
 		t.Fatalf("netcalc_interned_curves_total = %v, cache says %d", got, st.InternedCurves)
 	}
 }

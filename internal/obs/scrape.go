@@ -1,23 +1,24 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Scraper is the live half of the observability plane: where the Store
 // tracks cross-run trajectories, the Scraper polls one process's
 // /metrics endpoint and keeps a fixed-size ring of recent points per
 // sample, so `obsq watch` can show burn rates while the service is
-// still running instead of after the run lands in the store. It speaks
-// the subset of OpenMetrics text exposition that
-// telemetry.WriteOpenMetrics emits — labeled sample lines, summary
+// still running instead of after the run lands in the store. It reads
+// sample lines with telemetry.ParseSample — labeled samples, summary
 // quantiles, exemplar clauses — and keys series by the full sample
 // name including its label block, so
 // `rmserver_shard_queue_wait_ns{shard="3",quantile="0.99"}` is its own
@@ -118,84 +119,31 @@ func (s *Scraper) Scrape() error {
 // Ingest parses one exposition payload and records every sample at the
 // given timestamp. Returns the number of samples recorded. Comment,
 // metadata, and unparsable lines are skipped — a scraper is a
-// consumer, not a linter (cmd/omlint is the linter).
+// consumer, not a linter — and sample lines are read with the
+// tokenizer telemetry.LintOpenMetrics (and so cmd/omlint) checks them
+// with. A series is keyed by the sample name with its label block.
 func (s *Scraper) Ingest(text []byte, atUnixMilli int64) int {
 	recorded := 0
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rest := string(text)
-	for len(rest) > 0 {
-		var line string
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		} else {
-			line, rest = rest, ""
-		}
-		name, v, ok := parseSampleLine(line)
-		if !ok {
+	sc := bufio.NewScanner(bytes.NewReader(text))
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	for sc.Scan() {
+		smp, err := telemetry.ParseSample(sc.Text())
+		if err != nil {
 			continue
 		}
+		name := smp.Name + smp.Labels
 		sr := s.series[name]
 		if sr == nil {
 			sr = &scrapeSeries{buf: make([]ScrapePoint, s.size)}
 			s.series[name] = sr
 		}
-		sr.push(ScrapePoint{UnixMilli: atUnixMilli, Value: v})
+		sr.push(ScrapePoint{UnixMilli: atUnixMilli, Value: smp.Value})
 		recorded++
 	}
 	s.scrapes++
 	return recorded
-}
-
-// parseSampleLine extracts (sample name with label block, value) from
-// one exposition line. The label block may contain spaces and '#'
-// inside quoted values, and the value may be followed by a timestamp
-// and/or an exemplar clause (` # {...} v ts`) — both ignored here.
-func parseSampleLine(line string) (string, float64, bool) {
-	if line == "" || line[0] == '#' {
-		return "", 0, false
-	}
-	nameEnd := -1
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == ' ' {
-			nameEnd = i
-			break
-		}
-		if c != '{' {
-			continue
-		}
-		// Scan the label block honoring quotes and escapes.
-		j := i + 1
-		inQuote := false
-		for ; j < len(line); j++ {
-			switch {
-			case inQuote && line[j] == '\\':
-				j++ // skip escaped char
-			case line[j] == '"':
-				inQuote = !inQuote
-			case !inQuote && line[j] == '}':
-				goto closed
-			}
-		}
-		return "", 0, false // unterminated label block
-	closed:
-		nameEnd = j + 1
-		break
-	}
-	if nameEnd <= 0 {
-		return "", 0, false
-	}
-	name := line[:nameEnd]
-	fields := strings.Fields(line[nameEnd:])
-	if len(fields) == 0 {
-		return "", 0, false
-	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return name, v, true
 }
 
 // Names returns every series name seen so far, sorted.

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 const testExposition = `# HELP rmserver_decision_latency_ns Per-decision latency.
@@ -198,16 +200,25 @@ func TestParseSampleLineEdges(t *testing.T) {
 		"name notanumber",
 		`unterminated{a="b 1`,
 		" 5",
+		`m{a="b"}3`, // the spec requires a space before the value
 	} {
-		if name, v, ok := parseSampleLine(line); ok {
-			t.Errorf("parseSampleLine(%q) = %q, %v, true; want skip", line, name, v)
+		sc := NewScraper("", 4)
+		if n := sc.Ingest([]byte(line+"\n"), 1000); n != 0 {
+			t.Errorf("Ingest(%q) recorded %d samples (%v); want skip", line, n, sc.Names())
 		}
 	}
-	name, v, ok := parseSampleLine(`m{a="x\"y"} 3 1700000000`)
-	if !ok || name != `m{a="x\"y"}` || v != 3 {
-		t.Fatalf("escaped-quote line = %q, %v, %v", name, v, ok)
+	sc := NewScraper("", 4)
+	sc.Ingest([]byte(`m{a="x\"y"} 3 1700000000`+"\n"), 1000)
+	if p, ok := sc.Latest(`m{a="x\"y"}`); !ok || p.Value != 3 {
+		t.Fatalf("escaped-quote line: names %v, Latest = %+v, %v", sc.Names(), p, ok)
 	}
-	if !strings.HasPrefix(name, "m{") {
-		t.Fatal("label block lost")
+}
+
+// TestScraperExpositionLintsClean pins the one-parser property: the
+// exposition the scraper reads in full passes the linter cmd/omlint
+// runs, including the label value holding a space and a '}'.
+func TestScraperExpositionLintsClean(t *testing.T) {
+	if diags := telemetry.LintOpenMetrics(strings.NewReader(testExposition), false); len(diags) != 0 {
+		t.Fatalf("testExposition lint: %v", diags)
 	}
 }

@@ -110,8 +110,23 @@ var benchOut = flag.String("benchout", "", "write rmserver benchmark results as 
 // It gates the decisions/sec floor so CI fails on a service-plane
 // throughput regression without inspecting numbers.
 func TestEmitRMServerBench(t *testing.T) {
-	if testing.Short() && *benchOut == "" {
-		t.Skip("short mode without -benchout")
+	if *benchOut == "" {
+		// The wall-clock gates below run only under -benchout (the CI
+		// bench-smoke and trace-smoke jobs). Without it, check that the
+		// timed batch is decided in full with and without a tracer.
+		reg := telemetry.NewRegistry()
+		f := New(Config{Shards: 4, QueueDepth: 64}, reg)
+		defer f.Drain()
+		tr := wtrace.New(wtrace.Config{Sample: 0, Registry: reg, Seed: 1})
+		ops := benchOps()
+		for _, decs := range [][]Decision{f.Do(ops), f.DoTraced(ops, tr.StartRequest(""))} {
+			for i, d := range decs {
+				if !d.OK {
+					t.Fatalf("op %d %+v: %+v", i, ops[i], d)
+				}
+			}
+		}
+		return
 	}
 	// Best-of-3 on the two sides of the overhead ratio: scheduler or
 	// neighbor interference only ever slows a measurement, so the
@@ -170,9 +185,6 @@ func TestEmitRMServerBench(t *testing.T) {
 		t.Errorf("compact parse at %.0f ops/sec, floor 2.5e5", parsedOpsPerSec)
 	}
 
-	if *benchOut == "" {
-		return
-	}
 	out := map[string]interface{}{
 		"benchmark": "rmserver_service_plane",
 		"batch_ops": benchBatchOps,

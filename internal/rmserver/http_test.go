@@ -245,9 +245,10 @@ func TestHTTPStats(t *testing.T) {
 	}
 }
 
-// TestOpenMetricsStrict renders the fleet's exposition and checks the
-// properties `omlint -strict` enforces: every family has # HELP and
-// # TYPE, and the body ends with # EOF.
+// TestOpenMetricsStrict renders the fleet's exposition and runs the
+// full `omlint -strict` lint over it: every family has # HELP and
+// # TYPE, label sets and exemplars are well formed, and the body ends
+// with # EOF.
 func TestOpenMetricsStrict(t *testing.T) {
 	f, srv := testService(t, Config{Shards: 2})
 	postJSON(t, srv.URL+"/v1/register", `{"platform":"p","app":"a","burst_bytes":1,"deadline_ns":1e6}`)
@@ -256,22 +257,7 @@ func TestOpenMetricsStrict(t *testing.T) {
 	if err := f.Registry().WriteOpenMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
-	om := sb.String()
-	if !strings.HasSuffix(om, "# EOF\n") {
-		t.Fatal("exposition missing # EOF")
-	}
-	help := map[string]bool{}
-	for _, line := range strings.Split(om, "\n") {
-		if strings.HasPrefix(line, "# HELP ") {
-			help[strings.Fields(line)[2]] = true
-		}
-	}
-	for _, line := range strings.Split(om, "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			fam := strings.Fields(line)[2]
-			if strings.HasPrefix(fam, "rmserver_") && !help[fam] {
-				t.Errorf("family %s has no # HELP line", fam)
-			}
-		}
+	for _, d := range telemetry.LintOpenMetrics(strings.NewReader(sb.String()), true) {
+		t.Error(d)
 	}
 }

@@ -224,18 +224,13 @@ func TestTraceExemplarResolvesToTrace(t *testing.T) {
 	var traceID string
 	var exemplarVal int64
 	for _, line := range strings.Split(om.String(), "\n") {
-		if !strings.HasPrefix(line, `rmserver_http_latency_ns{quantile="0.99"}`) {
+		smp, err := telemetry.ParseSample(line)
+		if err != nil || smp.Name+smp.Labels != `rmserver_http_latency_ns{quantile="0.99"}` {
 			continue
 		}
-		i := strings.Index(line, `# {trace_id="`)
-		if i < 0 {
-			t.Fatalf("p99 line has no exemplar: %q", line)
+		if _, err := fmt.Sscanf(smp.Exemplar, `{trace_id=%q} %d`, &traceID, &exemplarVal); err != nil {
+			t.Fatalf("p99 line exemplar %q: %v", smp.Exemplar, err)
 		}
-		rest := line[i+len(`# {trace_id="`):]
-		j := strings.IndexByte(rest, '"')
-		traceID = rest[:j]
-		fields := strings.Fields(rest[j+2:])
-		fmt.Sscan(fields[0], &exemplarVal)
 	}
 	if traceID == "" {
 		t.Fatal("no exemplar found on rmserver_http_latency_ns p99")

@@ -212,8 +212,24 @@ var benchOut = flag.String("benchout", "", "write kernel benchmark results as JS
 // allocs per event in steady state) so CI fails on a kernel perf
 // regression even without inspecting numbers.
 func TestEmitBench(t *testing.T) {
-	if testing.Short() && *benchOut == "" {
-		t.Skip("short mode without -benchout")
+	if *benchOut == "" {
+		// The wall-clock gates below run only under -benchout (the CI
+		// bench-smoke job). Without it, check that the timed workloads
+		// dispatch their whole event budget on every kernel.
+		e, old := NewEngine(), &oldEngine{}
+		benchWorkloadNew(e, benchEvents)
+		benchWorkloadOld(old, benchEvents)
+		if e.Fired() != old.fired || e.Fired() < benchEvents {
+			t.Fatalf("dispatch workload fired %d events, baseline %d, budget %d", e.Fired(), old.fired, benchEvents)
+		}
+		for _, parts := range []int{1, 2, 4, 8} {
+			par := NewParallel(parts, benchParallelLookahead)
+			benchWorkloadParallel(par, benchEvents)
+			if par.Fired() < benchEvents {
+				t.Fatalf("parallel workload p%d fired %d events, budget %d", parts, par.Fired(), benchEvents)
+			}
+		}
+		return
 	}
 	newRes := testing.Benchmark(BenchmarkKernelDispatch)
 	oldRes := testing.Benchmark(BenchmarkKernelDispatchBaseline)
@@ -282,9 +298,6 @@ func TestEmitBench(t *testing.T) {
 		t.Logf("GOMAXPROCS=%d < 4: scaling floor not enforced on this host (CI bench-smoke matrix enforces it)", gomaxprocs)
 	}
 
-	if *benchOut == "" {
-		return
-	}
 	out := map[string]interface{}{
 		"benchmark": "kernel_dispatch",
 		"events":    benchEvents,

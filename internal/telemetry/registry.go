@@ -8,6 +8,12 @@
 // counters — the "monitoring" half of the identification → monitoring
 // → control triad of Section V.
 //
+// The registry renders as JSON or as OpenMetrics text
+// (WriteOpenMetrics). The package also reads that text back:
+// ParseSample is the one sample-line tokenizer and LintOpenMetrics the
+// one exposition linter, shared by cmd/omlint, the live obs.Scraper
+// and the exposition tests.
+//
 // Every instrument is nil-safe: methods on a nil *Registry, *Tracer,
 // *MonitorSet, or any nil instrument are no-ops, so instrumented code
 // pays a single pointer test when telemetry is disabled. All

@@ -63,8 +63,9 @@ func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
 const FlagSampled byte = 0x01
 
 // ParseTraceparent decodes a version-00 W3C traceparent header
-// ("00-<32 hex>-<16 hex>-<2 hex>"). Unknown versions and malformed
-// headers are errors; all-zero trace or span ids are invalid per spec.
+// ("00-<32 hex>-<16 hex>-<2 hex>", lowercase hex only). Unknown
+// versions and malformed headers are errors; all-zero trace or span
+// ids are invalid per spec.
 func ParseTraceparent(h string) (TraceID, SpanID, byte, error) {
 	var tid TraceID
 	var sid SpanID
@@ -78,16 +79,16 @@ func ParseTraceparent(h string) (TraceID, SpanID, byte, error) {
 	if len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
 		return tid, sid, 0, fmt.Errorf("wtrace: traceparent %q: bad field lengths", h)
 	}
-	if _, err := hex.Decode(tid[:], []byte(parts[1])); err != nil {
-		return tid, sid, 0, fmt.Errorf("wtrace: traceparent trace-id: %v", err)
-	}
-	if _, err := hex.Decode(sid[:], []byte(parts[2])); err != nil {
-		return tid, sid, 0, fmt.Errorf("wtrace: traceparent parent-id: %v", err)
+	// W3C Trace Context §3.2.2 defines the fields as lowercase hex
+	// (HEXDIGLC), so a joined trace keeps the id its caller sent.
+	if strings.TrimLeft(parts[1]+parts[2]+parts[3], "0123456789abcdef") != "" {
+		return tid, sid, 0, fmt.Errorf("wtrace: traceparent %q: fields must be lowercase hex", h)
 	}
 	var fb [1]byte
-	if _, err := hex.Decode(fb[:], []byte(parts[3])); err != nil {
-		return tid, sid, 0, fmt.Errorf("wtrace: traceparent flags: %v", err)
-	}
+	// The decodes cannot fail: every field is even-length lowercase hex.
+	_, _ = hex.Decode(tid[:], []byte(parts[1]))
+	_, _ = hex.Decode(sid[:], []byte(parts[2]))
+	_, _ = hex.Decode(fb[:], []byte(parts[3]))
 	if tid.IsZero() {
 		return tid, sid, 0, fmt.Errorf("wtrace: traceparent %q: all-zero trace-id", h)
 	}

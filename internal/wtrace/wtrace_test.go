@@ -50,12 +50,33 @@ func TestTraceparentInvalid(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span id
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // bad flags hex
 		"00-XYZ92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad trace hex
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", // uppercase parent id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", // uppercase flags
 	}
 	for _, h := range cases {
 		if _, _, _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("ParseTraceparent(%q): want error, got nil", h)
 		}
 	}
+}
+
+// FuzzParseTraceparent checks that every header the parser accepts
+// is the canonical rendering of what it parsed, so a joined trace
+// keeps the exact id its caller sent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01")
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz")
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, flags, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		if got := Traceparent(tid, sid, flags); got != h {
+			t.Fatalf("ParseTraceparent(%q) accepted; it renders back as %q", h, got)
+		}
+	})
 }
 
 func TestSamplingBounds(t *testing.T) {
